@@ -169,26 +169,36 @@ func TestAdmissionControl(t *testing.T) {
 
 	slowDone := make(chan int, 1)
 	go func() {
-		code, _ := get(t, ts.URL+"/v1/eval?graph=cycle&n=4000&decider=slowdec&nocache=1")
+		// An explicit deadline under maxTimeout: 4000 sleeps of 500µs can
+		// overrun the 5 s default under the race detector.
+		code, _ := get(t, ts.URL+"/v1/eval?graph=cycle&n=4000&decider=slowdec&nocache=1&timeout_ms=9000")
 		slowDone <- code
 	}()
-	// Wait until the slow evaluation holds the slot, then probe.
-	deadline := time.Now().Add(2 * time.Second)
-	var code int
-	var hdr http.Header
+	// Wait until the slow evaluation holds the slot, as /statsz reports it,
+	// then probe. Probing earlier could take the single slot itself and turn
+	// the slow request away.
+	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/v1/eval?graph=cycle&n=8&decider=degree2")
-		if err != nil {
-			t.Fatalf("probe: %v", err)
+		_, body := get(t, ts.URL+"/statsz")
+		var st statszResponse
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatalf("statsz not JSON: %v\n%s", err, body)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		code, hdr = resp.StatusCode, resp.Header
-		if code == http.StatusTooManyRequests || time.Now().After(deadline) {
+		if st.Inflight == 1 {
 			break
 		}
-		time.Sleep(5 * time.Millisecond)
+		if time.Now().After(deadline) {
+			t.Fatal("slow evaluation never went in flight")
+		}
+		time.Sleep(time.Millisecond)
 	}
+	resp, err := http.Get(ts.URL + "/v1/eval?graph=cycle&n=8&decider=degree2")
+	if err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	code, hdr := resp.StatusCode, resp.Header
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("probe while slot held: status %d, want 429", code)
 	}

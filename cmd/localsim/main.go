@@ -46,16 +46,17 @@
 //	localsim -faults flip -fault-rate 0.05 -fault-seed 7 -trials 20
 //	localsim -faults labels -fault-rate 0.10 -summary
 //	localsim -graph cycle -n 64 -decider degree2 -faults crash -fault-rate 0.2
-//	localsim -graph cycle -n 32 -decider degree2 -faults messages -fault-rate 0.1
+//	localsim -graph cycle -n 32 -decider degree2 -faults messages -fault-rate 0.1 -shards 4
 //
 // Label models (flip | swap | randomize | labels = all three) run the E16
 // self-stabilization protocol on the halting pyramidal family G(M, r) —
 // corrupt, heal, re-decide — and print a rounds-to-recovery table
 // (-graph/-decider are ignored; -trials sets episodes per model). "crash"
 // injects decider crashes into the chosen instance on any backend and shows
-// the retry/VerdictError machinery; "messages" forces the MessagePassing
-// backend and injects drop/duplicate/delay at the given rate, showing the
-// degraded-but-never-wrong fallback path.
+// the retry/VerdictError machinery; "messages" needs -shards and injects
+// drop/duplicate/delay into the sharded runtime's halo rings at the given
+// rate, showing the degraded-but-never-wrong rim fallback (the flooding
+// backend stays lossless).
 //
 // -dynamic N streams N seeded edge toggles through the decided instance and
 // reports sustained updates/sec. With -incremental the instance stays
@@ -340,6 +341,9 @@ func validateFlags(nArgs int, graphKind string, n int, decider, backend string,
 		if faultRate < 0 || faultRate > 1 || math.IsNaN(faultRate) {
 			return fmt.Errorf("-fault-rate must be in [0, 1], got %v", faultRate)
 		}
+		if faults == "messages" && shards == 0 {
+			return fmt.Errorf("-faults messages injects halo-ring faults into the sharded runtime; add -shards p")
+		}
 	default:
 		return fmt.Errorf("unknown -faults model %q (flip | swap | randomize | labels | crash | messages)", faults)
 	}
@@ -490,7 +494,7 @@ func runSelfStab(model string, rate float64, seed int64, trials int, incremental
 // runFaulty evaluates the chosen instance once under injected decider
 // crashes or message faults, showing the engine's recovery machinery: retry
 // counters, VerdictErrors (never misreported as accept or reject), and the
-// MessagePassing incomplete-view fallback.
+// sharded runtime's rim fallback.
 func runFaulty(mode string, l *graph.Labeled, alg local.ObliviousAlgorithm, graphKind, backend string, shards int, rate float64, seed int64, summary bool) error {
 	if rate < 0 || rate > 1 {
 		return fmt.Errorf("-fault-rate must be in [0, 1], got %v", rate)
@@ -506,18 +510,10 @@ func runFaulty(mode string, l *graph.Labeled, alg local.ObliviousAlgorithm, grap
 		plan.Crash = &fault.CrashModel{Rate: rate}
 		opts = engine.Options{Scheduler: sched, Faults: plan}
 	case "messages":
+		// Message fates apply per shard-pair link: a lost halo ring degrades
+		// the receiving shard's rim nodes to exact fallback extraction.
 		plan.Message = &fault.MessageModel{DropRate: rate, DuplicateRate: rate / 2, DelayRate: rate / 2}
-		if shards > 0 {
-			// Message fates apply per shard-pair link: a lost halo ring
-			// degrades the receiving shard's rim nodes to exact fallback
-			// extraction.
-			opts = engine.Options{Scheduler: engine.ShardedMPPartitioned(shards, partitionStrategyFor(graphKind)), Faults: plan}
-		} else {
-			if backend != "sequential" && backend != "mp" && backend != "message-passing" {
-				return fmt.Errorf("-faults messages runs on the message-passing backend, not %q", backend)
-			}
-			opts = engine.Options{Scheduler: engine.MessagePassing, Faults: plan}
-		}
+		opts = engine.Options{Scheduler: engine.ShardedMPPartitioned(shards, partitionStrategyFor(graphKind)), Faults: plan}
 	}
 	out := engine.EvalOblivious(local.EngineObliviousDecider(alg), l, opts)
 	fmt.Printf("graph=%s n=%d decider=%s backend=%s faults=%s rate=%.2f fault-seed=%d\n",
@@ -539,9 +535,8 @@ func runFaulty(mode string, l *graph.Labeled, alg local.ObliviousAlgorithm, grap
 	fmt.Printf("engine: workers=%d evaluated=%d crashes=%d retries=%d\n",
 		s.Workers, s.Evaluated, s.Crashes, s.Retries)
 	if mode == "messages" {
-		fmt.Printf("mp: rounds=%d messages=%d dropped=%d duplicated=%d delayed=%d retransmits=%d incompleteViews=%d timedOutRounds=%d\n",
-			s.Rounds, s.Messages, s.Dropped, s.Duplicated, s.Delayed, s.Retransmits,
-			s.IncompleteViews, s.TimedOutRounds)
+		fmt.Printf("mp: rounds=%d messages=%d dropped=%d duplicated=%d delayed=%d retransmits=%d incompleteViews=%d\n",
+			s.Rounds, s.Messages, s.Dropped, s.Duplicated, s.Delayed, s.Retransmits, s.IncompleteViews)
 	}
 	printShardedStats(s)
 	for _, ve := range out.Errs {

@@ -68,6 +68,9 @@ func TestLocalsimErrors(t *testing.T) {
 	if err := run([]string{"-decider", "coin", "-trials", "10", "-confidence", "1.5"}); err == nil {
 		t.Error("out-of-range -confidence accepted")
 	}
+	if err := run([]string{"-decider", "degree2", "-faults", "messages", "-fault-rate", "0.2"}); err == nil {
+		t.Error("-faults messages without -shards accepted")
+	}
 }
 
 // TestLocalsimUpFrontValidation pins the front-door flag check: each bad

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/local"
 	"repro/internal/props"
@@ -35,7 +36,8 @@ func main() {
 	// two adjacent equal-coloured nodes only — locality in action.
 
 	fmt.Println("\n== same verifier on the goroutine message-passing runtime")
-	out := local.RunMessagePassingOblivious(verifier, good)
+	out := engine.EvalOblivious(local.EngineObliviousDecider(verifier), good,
+		engine.Options{Scheduler: engine.MessagePassing})
 	fmt.Printf("good  accepted=%v (one goroutine per node, %d synchronous rounds)\n",
 		out.Accepted, verifier.Horizon())
 

@@ -73,10 +73,10 @@ type Decider struct {
 	DecideRand func(view *graph.View, rng *rand.Rand) Verdict
 }
 
-// MessageFate is an Injector's ruling on one directed message of the
-// MessagePassing backend: whether the message (eventually) arrives, how many
-// sends it took, how many extra copies are delivered, and how many rounds
-// late it lands. The zero value means "lost on the first send".
+// MessageFate is an Injector's ruling on one halo-ring transmission of the
+// ShardedMP backend: whether the ring (eventually) arrives, how many sends it
+// took, how many extra copies are delivered, and how many rounds late it
+// lands. The zero value means "lost on the first send".
 type MessageFate struct {
 	// Delivered reports that some (re)transmission got through.
 	Delivered bool
@@ -100,8 +100,9 @@ type Injector interface {
 	// should crash on the given attempt (0-based). The engine retries up to
 	// Options.MaxAttempts times before recording a VerdictError.
 	CrashDecide(node, attempt int) bool
-	// MessageFate rules on the round-r message from one node to a
-	// neighbour in the MessagePassing backend.
+	// MessageFate rules on the round-r halo ring that shard from ships to
+	// shard to in the ShardedMP backend. The lossless MessagePassing
+	// backend never consults it.
 	MessageFate(round, from, to int) MessageFate
 }
 
@@ -198,21 +199,17 @@ type Stats struct {
 	// Retries counts crash re-attempts (see Crashes).
 	Retries int
 	// Dropped, Duplicated, Delayed and Retransmits are filled by the
-	// MessagePassing backend under fault injection: messages lost after the
-	// retransmit budget, extra copies delivered, deliveries landing late,
-	// and retransmissions consumed.
+	// ShardedMP backend under message-fault injection: halo rings lost after
+	// the retransmit budget, extra copies delivered, deliveries landing
+	// late, and retransmissions consumed.
 	Dropped     int
 	Duplicated  int
 	Delayed     int
 	Retransmits int
-	// IncompleteViews counts nodes whose flooding gather was incomplete
-	// (dropped/delayed messages anywhere in their dependency cone, or a
-	// round timeout) and that therefore fell back to extractor-based view
-	// evaluation — degraded but never wrong.
+	// IncompleteViews counts ShardedMP rim nodes whose shard lost a halo
+	// ring (dropped, or delayed past the last round) and that therefore fell
+	// back to full-host extractor evaluation — degraded but never wrong.
 	IncompleteViews int
-	// TimedOutRounds counts round-barrier timeouts observed by nodes
-	// (Options.RoundTimeout).
-	TimedOutRounds int
 	// Shards is the shard count of the ShardedMP backend (0 for every other
 	// scheduler).
 	Shards int
@@ -268,9 +265,9 @@ type Options struct {
 	// schedulers (and EvalBatch) poll it between nodes and stop once it is
 	// done, returning Outcome{Accepted: false, Err: wrapping ctx.Err()}.
 	// This is how a serving layer propagates per-request deadlines into the
-	// engine. The MessagePassing backend checks only at launch — its
-	// goroutine-per-node rounds are bounded with RoundTimeout instead. Nil
-	// means no deadline.
+	// engine. The MessagePassing backend checks only at launch: its
+	// goroutine-per-node rounds are interlocked, so a node cannot stop
+	// mid-protocol without stalling its neighbours. Nil means no deadline.
 	Ctx context.Context
 	// EarlyExit lets the engine stop at the first No verdict. The Outcome
 	// then carries no per-node verdicts.
@@ -279,7 +276,7 @@ type Options struct {
 	Seed int64
 	// Faults, when set, injects deterministic faults into the evaluation:
 	// decider crashes on every scheduler, message drop/duplicate/delay on
-	// the MessagePassing backend. See Injector. Nil means a perfect world
+	// the ShardedMP backend's halo links. See Injector. Nil means a perfect world
 	// (the hooks stay compiled in but cost one nil check).
 	Faults Injector
 	// MaxAttempts bounds the per-node decide attempts when an attempt
@@ -291,13 +288,6 @@ type Options struct {
 	// decide, doubling per further attempt. 0 means 100µs; negative
 	// disables backoff entirely (tests).
 	RetryBackoff time.Duration
-	// RoundTimeout bounds how long a MessagePassing node waits at each
-	// round barrier. 0 means wait forever (the lossless protocol cannot
-	// deadlock — every node reaches every barrier). A node that times out
-	// stops synchronising, declares its view incomplete and falls back to
-	// extractor-based evaluation: degradation, not a hang and not a wrong
-	// verdict.
-	RoundTimeout time.Duration
 }
 
 // Eval evaluates a decider on every node of an identifier-carrying instance.

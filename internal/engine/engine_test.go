@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -159,4 +160,97 @@ func TestDeciderValidation(t *testing.T) {
 			MustEvalOblivious(dec, l, Options{})
 		}()
 	}
+}
+
+// FuzzHaloRing round-trips the ShardedMP halo wire format. The fuzzer picks a
+// small labelled host (labels are raw input bytes, so empty, repeated and
+// non-UTF-8 labels all occur), optional identifiers, and per-link ring node
+// sets; each link's rings are encoded in round order against one persistent
+// encoder dictionary and decoded against the decoder's. Every decoded record
+// must carry the host's node, label, identifier and full adjacency row, and
+// after every ring the two dictionaries must agree entry for entry.
+func FuzzHaloRing(f *testing.F) {
+	f.Add([]byte{5, 1, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 'a', 'b', 'a', 'c', 'b'}, false)
+	f.Add([]byte{12, 2, 1, 0, 5, 3, 7, 1, 9, 2, 2, 4, 11, 8, 0, 6, 'x', 'y', 0, 255, 'x', 1, 2, 3}, true)
+	f.Add([]byte{30, 0, 2, 17, 4, 9, 21, 3, 3, 28, 14, 1, 'L', 'L', 'L'}, true)
+	f.Add([]byte{1}, false)
+	f.Fuzz(func(t *testing.T, spec []byte, withIDs bool) {
+		at := func(i int) byte {
+			if len(spec) == 0 {
+				return 0
+			}
+			return spec[i%len(spec)]
+		}
+		n := 1 + int(at(0))%32
+		rounds := 1 + int(at(1))%3
+		links := 1 + int(at(2))%3
+		var edges [][2]int
+		for i := 3; i+1 < len(spec) && len(edges) < 4*n; i += 2 {
+			u, v := int(spec[i])%n, int(spec[i+1])%n
+			if u != v {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		labels := make([]graph.Label, n)
+		for v := range labels {
+			start, size := int(at(3*v+1)), int(at(3*v+2))%4
+			lab := make([]byte, size)
+			for k := range lab {
+				lab[k] = at(start + k)
+			}
+			labels[v] = graph.Label(lab)
+		}
+		l := graph.NewLabeled(graph.FromEdges(n, edges), labels)
+		j := &job{l: l}
+		if withIDs {
+			ids := make([]int, n)
+			for v := range ids {
+				ids[v] = v + n*int(at(5*v+3))<<20
+			}
+			j.in = graph.NewInstance(l, ids)
+		}
+
+		for link := 0; link < links; link++ {
+			// Each node ships in at most one round per link (ring sets are
+			// node-disjoint); value rounds means "not a ghost of this link".
+			rings := make([][]int32, rounds)
+			for v := 0; v < n; v++ {
+				if r := int(at(7*link+v)) % (rounds + 1); r < rounds {
+					rings[r] = append(rings[r], int32(v))
+				}
+			}
+			encDict := make(map[graph.Label]int)
+			var decDict []graph.Label
+			var got []ghostRec
+			for r, nodes := range rings {
+				payload := encodeHaloRing(j, encDict, haloRing{round: r, nodes: nodes}, withIDs)
+				got, decDict = decodeHaloRing(payload, decDict, withIDs, got[:0])
+				if len(got) != len(nodes) {
+					t.Fatalf("link %d round %d: decoded %d records, encoded %d", link, r, len(got), len(nodes))
+				}
+				for i, rec := range got {
+					v := nodes[i]
+					wantID := 0
+					if withIDs {
+						wantID = j.in.IDs[v]
+					}
+					if rec.node != v || rec.label != labels[v] || rec.id != wantID ||
+						!slices.Equal(rec.row, l.G.Neighbors(int(v))) {
+						t.Fatalf("link %d round %d: record %+v, want node %d label %q id %d row %v",
+							link, r, rec, v, labels[v], wantID, l.G.Neighbors(int(v)))
+					}
+				}
+				if len(decDict) != len(encDict) {
+					t.Fatalf("link %d round %d: decoder dictionary has %d labels, encoder %d",
+						link, r, len(decDict), len(encDict))
+				}
+				for i, lab := range decDict {
+					if idx, ok := encDict[lab]; !ok || idx != i {
+						t.Fatalf("link %d round %d: decoder entry %d = %q, encoder has it at %d (present %v)",
+							link, r, i, lab, idx, ok)
+					}
+				}
+			}
+		}
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -25,8 +24,8 @@ func degreeDecider() engine.Decider {
 	}
 }
 
-// labelSumDecider needs the full radius-2 view, so MP flooding (and its
-// faulty degradation paths) does real work.
+// labelSumDecider needs the full radius-2 view, so MP flooding and
+// ShardedMP's two-round halo exchange (and its rim fallback) do real work.
 func labelSumDecider() engine.Decider {
 	return engine.Decider{
 		Name:    "label-sum",
@@ -185,11 +184,11 @@ func TestGenuinePanicRespawn(t *testing.T) {
 	}
 }
 
-// The message-fault matrix: drop, duplicate and delay at several rates, with
-// and without a round timeout. Degradation must never change a verdict —
-// incomplete views fall back to extractor evaluation, so the committed
-// verdicts always equal the fault-free run — and the fault trace must replay
-// identically from the seed.
+// The message-fault matrix on ShardedMP's halo links: drop, duplicate and
+// delay at several rates. Degradation must never change a verdict — rim
+// nodes of a shard that lost a ring fall back to full-host extractor
+// evaluation, so the committed verdicts always equal the fault-free run —
+// and the fault trace must replay identically from the seed.
 func TestMessageFaultMatrixNeverWrong(t *testing.T) {
 	l := testInstance(24)
 	dec := labelSumDecider()
@@ -209,13 +208,13 @@ func TestMessageFaultMatrixNeverWrong(t *testing.T) {
 	for i, m := range matrix {
 		m := m
 		plan := &fault.Plan{Seed: int64(100 + i), Message: &m}
-		opts := engine.Options{Scheduler: engine.MessagePassing, Faults: plan}
+		opts := engine.Options{Scheduler: engine.ShardedMPWith(4), Faults: plan}
 		out := engine.EvalOblivious(dec, l, opts)
 		if out.Err != nil {
 			t.Fatalf("model %d: message faults must degrade, not fail: %v", i, out.Err)
 		}
 		if !reflect.DeepEqual(out.Verdicts, clean.Verdicts) || out.Accepted != clean.Accepted {
-			t.Errorf("model %d (%+v): faulty MP verdicts diverged from fault-free", i, m)
+			t.Errorf("model %d (%+v): faulty sharded-MP verdicts diverged from fault-free", i, m)
 		}
 		if m.DropRate >= 0.4 && out.Stats.Dropped == 0 {
 			t.Errorf("model %d: dropRate %.1f recorded no drops", i, m.DropRate)
@@ -241,29 +240,10 @@ func TestMessageFaultMatrixNeverWrong(t *testing.T) {
 	}
 }
 
-// A round timeout with no faults takes the hardened MP path but must behave
-// exactly like the lossless protocol: nothing times out, nothing degrades.
-func TestRoundTimeoutCleanPath(t *testing.T) {
-	l := testInstance(20)
-	dec := labelSumDecider()
-	clean := engine.EvalOblivious(dec, l, engine.Options{Scheduler: engine.MessagePassing})
-	out := engine.EvalOblivious(dec, l, engine.Options{
-		Scheduler:    engine.MessagePassing,
-		RoundTimeout: 5 * time.Second,
-	})
-	if out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	if !reflect.DeepEqual(out.Verdicts, clean.Verdicts) {
-		t.Error("timeout-armed clean run diverged from lossless MP")
-	}
-	if out.Stats.IncompleteViews != 0 || out.Stats.TimedOutRounds != 0 ||
-		out.Stats.Dropped != 0 || out.Stats.Duplicated != 0 || out.Stats.Delayed != 0 {
-		t.Errorf("clean run recorded fault activity: %+v", out.Stats)
-	}
-}
-
-// Crash injection and message faults compose on the MP backend.
+// Crash injection and message faults compose on the ShardedMP backend. Its
+// message sites are whole halo rings — 12 ring sends on this cycle at p=4,
+// against 64 per-edge messages of flooding — so the drop rate is high
+// enough to lose at least one ring.
 func TestMessageAndCrashFaultsCompose(t *testing.T) {
 	l := testInstance(16)
 	dec := labelSumDecider()
@@ -271,10 +251,10 @@ func TestMessageAndCrashFaultsCompose(t *testing.T) {
 	plan := &fault.Plan{
 		Seed:    5,
 		Crash:   &fault.CrashModel{Rate: 0.3},
-		Message: &fault.MessageModel{DropRate: 0.3, RetransmitBudget: 1},
+		Message: &fault.MessageModel{DropRate: 0.5, RetransmitBudget: 1},
 	}
 	out := engine.EvalOblivious(dec, l, engine.Options{
-		Scheduler:    engine.MessagePassing,
+		Scheduler:    engine.ShardedMPWith(4),
 		Faults:       plan,
 		MaxAttempts:  8,
 		RetryBackoff: -1,

@@ -15,7 +15,8 @@ import (
 // view (G, x, Id) |> B(v, t) of the functional definition. The parity suite
 // pins this backend against the functional ones node for node (experiment
 // E13 reports the cost gap). It descends from internal/local's original
-// runtime, which now delegates here.
+// runtime. It is lossless by design; message faults are modelled on
+// ShardedMP's halo links instead (DESIGN.md §6).
 //
 // Knowledge is held in flat sorted-row form (the same CSR discipline as the
 // extractor arena), not per-node maps: a node's picture of the network is a
@@ -153,9 +154,9 @@ var mpAssemblers = sync.Pool{
 // subgraph is built by filtering each known node's full host row to the
 // known set — a monotone dense renumbering, so BFS discovery order (and with
 // it the exact view layout) is preserved — and the ball restriction is the
-// extractor's, rebound to the known subgraph. Both faulty and lossless
-// message-passing paths, and the sharded runtime's halo assembly, share this
-// one routine.
+// extractor's, rebound to the known subgraph. Only the flooding protocol
+// uses it: ShardedMP assembles its shard-local sub-hosts with
+// buildLocalHost instead.
 func assembleView(x *graph.ViewExtractor, know *knowledge, centre, t int, oblivious bool) *graph.View {
 	k := len(know.nodes)
 	offsets := make([]int32, k+1)
@@ -196,24 +197,15 @@ type mpScheduler struct{}
 
 func (mpScheduler) Name() string { return "message-passing" }
 
+// run is the lossless protocol: injected crashes are honoured through
+// guardedVerdict, message fates are never consulted.
 func (mpScheduler) run(j *job) bool {
 	// Cancellation is honoured at launch only: mid-protocol the per-node
-	// goroutines are interlocked through round barriers (a node that stops
-	// sending deadlocks its neighbours), so bounded rounds come from
-	// Options.RoundTimeout, not Ctx. See Options.Ctx.
+	// goroutines are interlocked through their per-edge channels (a node that
+	// stops sending deadlocks its neighbours). See Options.Ctx.
 	if j.checkCanceled() {
 		return false
 	}
-	// Fault injection or a round timeout switches to the hardened runtime
-	// (mpfaulty.go); the lossless path below stays byte-identical to the
-	// seed-era protocol apart from the guarded decide stage.
-	if j.faults != nil || j.opts.RoundTimeout > 0 {
-		return runMPFaulty(j)
-	}
-	return runMPLossless(j)
-}
-
-func runMPLossless(j *job) bool {
 	n := j.n
 	t := j.dec.Horizon
 	j.stats.Rounds = t

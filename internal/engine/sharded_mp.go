@@ -109,6 +109,50 @@ type haloLink struct {
 	ch       chan haloMsg
 }
 
+// maxMessageDuplicates clamps an injector's per-message duplicate count so
+// per-link channel capacity stays bounded.
+const maxMessageDuplicates = 3
+
+// messageFate resolves one ring transmission's fate, normalised: no injector
+// means delivered-on-time, and duplicate counts arrive pre-clamped.
+func (j *job) messageFate(round, from, to int) MessageFate {
+	if j.faults == nil {
+		return MessageFate{Delivered: true, Attempts: 1}
+	}
+	fate := j.faults.MessageFate(round, from, to)
+	if fate.Duplicates > maxMessageDuplicates {
+		fate.Duplicates = maxMessageDuplicates
+	}
+	if fate.Duplicates < 0 {
+		fate.Duplicates = 0
+	}
+	if fate.Delay < 0 {
+		fate.Delay = 0
+	}
+	return fate
+}
+
+// fallbackExtractor is the shared, lazily-built full-host extractor serving
+// the rim nodes of degraded shards: one per run, mutex-guarded because
+// extractor views are scratch-backed and the decide must finish before the
+// next extraction.
+type fallbackExtractor struct {
+	x *graph.ViewExtractor
+}
+
+// decide extracts node v's true functional view and decides it, serialised
+// on mu. The extracted view is exactly the functional definition of the
+// node's radius-t view, so fallback verdicts equal lossless verdicts.
+func (f *fallbackExtractor) decide(j *job, mu *sync.Mutex, v int) Verdict {
+	mu.Lock()
+	defer mu.Unlock()
+	if f.x == nil {
+		f.x = j.extractor()
+	}
+	view := f.x.At(v, j.dec.Horizon)
+	return j.decideView(view, v)
+}
+
 func (s shardedMPScheduler) run(j *job) bool {
 	if j.checkCanceled() {
 		return false
@@ -311,6 +355,7 @@ func (s shardedMPScheduler) run(j *job) bool {
 				if degraded[sh] && containsInt32(rim, v32) {
 					incomplete++
 					verdict, ok = j.guardedVerdict(v, &crashes, &retries, func() Verdict {
+						evaluated++
 						return fallbackX.decide(j, &fallbackMu, v)
 					})
 				} else {

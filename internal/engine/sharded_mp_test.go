@@ -139,7 +139,7 @@ func TestShardedMPStats(t *testing.T) {
 
 // TestShardedMPMessageFaultTally checks the deterministic fault counters
 // surface on the sharded path and that heavy drop degrades (IncompleteViews)
-// without changing verdicts.
+// without changing verdicts or losing fallback decisions from Evaluated.
 func TestShardedMPMessageFaultTally(t *testing.T) {
 	l := graph.UniformlyLabeled(graph.Cycle(48), "u")
 	dec := shardedDecider()
@@ -154,6 +154,11 @@ func TestShardedMPMessageFaultTally(t *testing.T) {
 	}
 	if got.Stats.IncompleteViews == 0 {
 		t.Error("dropped rings degraded no rim nodes")
+	}
+	// Dedup off and no early exit: every node is decided exactly once,
+	// fallback rim nodes included.
+	if got.Stats.Evaluated != l.N() {
+		t.Errorf("Evaluated=%d, want %d (one decide per node)", got.Stats.Evaluated, l.N())
 	}
 	for v := range want.Verdicts {
 		if got.Verdicts[v] != want.Verdicts[v] {

@@ -9,7 +9,7 @@
 package fault
 
 // Site identifies one class of injection site. Distinct sites index disjoint
-// splitmix64 streams, so e.g. the message-fault draws at (round 3, edge u→w)
+// splitmix64 streams, so e.g. the message-fault draws at (round 3, link u→w)
 // can never correlate with the crash draws at (node 3, attempt 0).
 type Site uint64
 
@@ -19,7 +19,7 @@ const (
 	SiteLabel Site = iota + 1
 	// SiteEdge draws structural edge-tampering victims.
 	SiteEdge
-	// SiteMessage draws per-(round, edge) message fates.
+	// SiteMessage draws per-(round, fromShard, toShard) halo-ring fates.
 	SiteMessage
 	// SiteCrash draws per-(node, attempt) worker-crash decisions.
 	SiteCrash

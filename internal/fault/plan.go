@@ -14,8 +14,9 @@ type CrashModel struct {
 	Rate float64
 }
 
-// MessageModel injects message faults into the message-passing backend.
-// Every directed (round, edge) message draws its fate independently.
+// MessageModel injects message faults into the ShardedMP backend's halo
+// exchange. Every (round, fromShard, toShard) ring transmission draws its
+// fate independently.
 type MessageModel struct {
 	// DropRate is the per-transmission loss probability in [0, 1]. With a
 	// RetransmitBudget of b, a message is lost for good only when all 1+b
@@ -43,7 +44,7 @@ type Plan struct {
 	Seed int64
 	// Crash, when set, injects worker crashes into decide calls.
 	Crash *CrashModel
-	// Message, when set, injects message faults into the MP backend.
+	// Message, when set, injects message faults into ShardedMP's halo links.
 	Message *MessageModel
 }
 
@@ -57,9 +58,9 @@ func (p *Plan) CrashDecide(node, attempt int) bool {
 	return s.Float64() < p.Crash.Rate
 }
 
-// MessageFate resolves the fate of round r's message from → to — a pure
-// function of (seed, round, from, to). The engine consults it both in its
-// precomputed fate plan and at each send; purity guarantees the two agree.
+// MessageFate resolves the fate of round r's halo ring from shard from to
+// shard to — a pure function of (seed, round, from, to), so the schedule
+// replays identically on any machine.
 func (p *Plan) MessageFate(round, from, to int) engine.MessageFate {
 	fate := engine.MessageFate{Delivered: true, Attempts: 1}
 	if p == nil || p.Message == nil {

@@ -3,9 +3,10 @@
 // views, in both the ID-using and the Id-oblivious variants. Evaluation
 // itself — batched view extraction, scheduling, deduplication, aggregation —
 // lives in internal/engine; this package defines the algorithm interfaces of
-// the paper's model and adapts them onto the engine. The historical entry
-// points (Run, RunOblivious, RunParallel, RunMessagePassing, ...) remain as
-// thin wrappers selecting an engine scheduler.
+// the paper's model and adapts them onto the engine. Run and RunOblivious
+// evaluate on the default scheduler; callers that want another backend pass
+// EngineDecider or EngineObliviousDecider to engine.Eval or
+// engine.EvalOblivious with their Options.
 package local
 
 import (

@@ -11,6 +11,10 @@ import (
 	"repro/internal/ids"
 )
 
+// mpOptions runs the engine's lossless flooding protocol, the operational
+// definition of a local algorithm.
+var mpOptions = engine.Options{Scheduler: engine.MessagePassing}
+
 // viewCodeAlgorithm outputs Yes iff the full ID-aware view code satisfies a
 // fixed predicate; its purpose is to make the verdict depend on every part of
 // the view (structure, labels, and IDs) so that any discrepancy between the
@@ -42,7 +46,7 @@ func TestMessagePassingMatchesViewEvaluation(t *testing.T) {
 			in := graph.NewInstance(l, ids.RandomBounded(g.N(), ids.Quadratic(), 13))
 			alg := viewCodeAlgorithm(horizon)
 			direct := Run(alg, in)
-			mp := RunMessagePassing(alg, in)
+			mp := engine.Eval(EngineDecider(alg), in, mpOptions)
 			for v := range direct.Verdicts {
 				if direct.Verdicts[v] != mp.Verdicts[v] {
 					t.Fatalf("%s t=%d node %d: view=%s, message-passing=%s",
@@ -69,7 +73,7 @@ func TestMessagePassingViewsExact(t *testing.T) {
 		}
 		return Yes
 	})
-	RunMessagePassing(probe, in)
+	engine.Eval(EngineDecider(probe), in, mpOptions)
 	if mismatch != nil {
 		t.Fatal(mismatch)
 	}
@@ -83,7 +87,7 @@ func TestMessagePassingOblivious(t *testing.T) {
 		}
 		return Verdict(view.G.Degree(view.Root) == 2)
 	})
-	out := RunMessagePassingOblivious(alg, l)
+	out := engine.EvalOblivious(EngineObliviousDecider(alg), l, mpOptions)
 	if !out.Accepted {
 		t.Error("cycle should accept 2-regularity")
 	}
@@ -93,7 +97,7 @@ func TestMessagePassingOblivious(t *testing.T) {
 			t.Fatalf("node %d differs between runtimes", v)
 		}
 	}
-	empty := RunMessagePassingOblivious(alg, graph.UniformlyLabeled(graph.New(0), ""))
+	empty := engine.EvalOblivious(EngineObliviousDecider(alg), graph.UniformlyLabeled(graph.New(0), ""), mpOptions)
 	if empty.Accepted || !errors.Is(empty.Err, engine.ErrEmptyInstance) {
 		t.Errorf("empty graph: %+v, want ErrEmptyInstance", empty)
 	}
@@ -108,7 +112,7 @@ func TestRuntimeEquivalence_Quick(t *testing.T) {
 		in := graph.NewInstance(l, ids.RandomBounded(n, ids.Linear(4), seed+2))
 		alg := viewCodeAlgorithm(horizon)
 		a := Run(alg, in)
-		b := RunMessagePassing(alg, in)
+		b := engine.Eval(EngineDecider(alg), in, mpOptions)
 		for v := range a.Verdicts {
 			if a.Verdicts[v] != b.Verdicts[v] {
 				return false
@@ -118,12 +122,6 @@ func TestRuntimeEquivalence_Quick(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRounds(t *testing.T) {
-	if Rounds(viewCodeAlgorithm(3)) != 3 {
-		t.Error("Rounds should report the horizon")
 	}
 }
 
@@ -142,7 +140,7 @@ func TestRunMessagePassingStats(t *testing.T) {
 	g := graph.Cycle(6)
 	l := graph.UniformlyLabeled(g, "c")
 	in := graph.NewInstance(l, ids.Sequential(6))
-	_, stats := RunMessagePassingStats(alg, in)
+	stats := engine.Eval(EngineDecider(alg), in, mpOptions).Stats
 	if stats.Rounds != 2 {
 		t.Errorf("rounds = %d, want 2", stats.Rounds)
 	}
@@ -157,8 +155,9 @@ func TestRunMessagePassingStats(t *testing.T) {
 	}
 	// Horizon 0: no communication at all.
 	zero := viewCodeAlgorithm(0)
-	_, stats = RunMessagePassingStats(zero, in)
+	stats = engine.Eval(EngineDecider(zero), in, mpOptions).Stats
 	if stats.Messages != 0 || stats.KnowledgeUnits != 0 {
-		t.Errorf("horizon-0 stats = %+v, want zero traffic", stats)
+		t.Errorf("horizon-0 stats: messages=%d knowledgeUnits=%d, want zero traffic",
+			stats.Messages, stats.KnowledgeUnits)
 	}
 }
