@@ -254,3 +254,30 @@ func FuzzHaloRing(f *testing.F) {
 		}
 	})
 }
+
+// TestLocalIndex checks the sharded sub-host's rank index against the
+// position of every member in the ascending local list, and membership
+// against the list, on hosts spanning one, several and partial 64-node words.
+func TestLocalIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 63, 64, 65, 130, 1000} {
+		for _, density := range []float64{0, 0.1, 0.5, 1} {
+			var ext []int32
+			pos := make(map[int32]int32)
+			for u := 0; u < n; u++ {
+				if rng.Float64() < density {
+					pos[int32(u)] = int32(len(ext))
+					ext = append(ext, int32(u))
+				}
+			}
+			idx := newLocalIndex(n, ext)
+			for u := int32(0); u < int32(n); u++ {
+				li, ok := idx.lookup(u)
+				want, member := pos[u]
+				if ok != member || (member && li != want) {
+					t.Fatalf("n=%d density %.1f: lookup(%d) = (%d, %v), want (%d, %v)", n, density, u, li, ok, want, member)
+				}
+			}
+		}
+	}
+}

@@ -75,10 +75,11 @@ func BenchmarkMPCycle(b *testing.B) {
 }
 
 // BenchmarkMPShards sweeps the shard count on the same workload — the
-// shards-vs-throughput curve of the README's sharded tour. One shard is the
-// degenerate no-exchange case (a single extractor pass); the interesting
-// scaling question is how the halo-exchange cost grows against the
-// evaluation parallelism won.
+// shards-vs-throughput curve of the README's sharded tour. One shard has no
+// boundary, so it skips the partition, the sub-host and the exchange and
+// runs the Sequential loop on the host (its time is Sequential's); the
+// interesting scaling question is how the halo-exchange and per-eval setup
+// cost grows against the evaluation parallelism won.
 func BenchmarkMPShards(b *testing.B) {
 	l := graph.UniformlyLabeled(graph.Cycle(100_000), "u")
 	dec := cheapDecider(8)

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,7 +51,9 @@ import (
 // ShardedMP evaluates on a partition-based worker pool: p shards exchanging
 // delta-encoded halo (ghost-node) rings over per-shard-pair channels, then
 // deciding their owned nodes on shard-local extractors. p defaults to
-// GOMAXPROCS; partitioning defaults to BFS-blocked.
+// GOMAXPROCS; partitioning defaults to BFS-blocked. When p clamps to 1 the
+// single shard has no boundary, so it runs the Sequential loop on the host
+// itself, reporting Shards=1, Rounds=t and all-zero per-round exchange.
 var ShardedMP Scheduler = shardedMPScheduler{}
 
 // ShardedMPWith returns a ShardedMP scheduler with an explicit shard count
@@ -161,6 +165,17 @@ func (s shardedMPScheduler) run(j *job) bool {
 	p := s.shards
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
+	}
+	if p == 1 || j.n == 1 {
+		// One shard owns the whole host: it has no boundary, so no halo and
+		// no ring fate, and its monotone-renumbered sub-host would be the
+		// host itself. Run the Sequential loop on the host directly.
+		accepted := j.runNodes(j.extractor())
+		j.stats.Rounds = t
+		j.stats.Shards = 1
+		j.stats.RoundHaloBytes = make([]int, t)
+		j.stats.RoundGhostNodes = make([]int, t)
+		return accepted
 	}
 	part := graph.NewPartition(j.l.G, p, s.strategy)
 	p = part.Shards()
@@ -316,7 +331,7 @@ func (s shardedMPScheduler) run(j *job) bool {
 			// Assemble the shard-local sub-host: owned nodes plus imported
 			// ghosts, monotone-renumbered, rows filtered to the local set.
 			own := part.Owned(sh)
-			sort.Slice(ghosts, func(i, k int) bool { return ghosts[i].node < ghosts[k].node })
+			slices.SortFunc(ghosts, func(a, b ghostRec) int { return cmp.Compare(a.node, b.node) })
 			ext := make([]int32, 0, len(own)+len(ghosts))
 			gi := 0
 			for _, v := range own {
@@ -329,7 +344,8 @@ func (s shardedMPScheduler) run(j *job) bool {
 			for ; gi < len(ghosts); gi++ {
 				ext = append(ext, ghosts[gi].node)
 			}
-			local := buildLocalHost(j, ext, ghosts, withIDs)
+			idx := newLocalIndex(j.n, ext)
+			local := buildLocalHost(j, ext, idx, ghosts, withIDs)
 			var x *graph.ViewExtractor
 			if withIDs {
 				x = graph.NewInstanceViewExtractor(local.instance)
@@ -359,12 +375,9 @@ func (s shardedMPScheduler) run(j *job) bool {
 						return fallbackX.decide(j, &fallbackMu, v)
 					})
 				} else {
-					li, found := lookupKnown(ext, v32)
-					if !found {
-						panic("engine: sharded-mp owned node missing from local host")
-					}
+					li, _ := idx.lookup(v32)
 					verdict, ok = j.guardedVerdict(v, &crashes, &retries, func() Verdict {
-						view := x.At(li, t)
+						view := x.At(int(li), t)
 						// Rebind Original from local-host indices to host
 						// addresses (in place — extractor scratch).
 						for i, w := range view.Original {
@@ -427,13 +440,21 @@ type localHost struct {
 }
 
 // buildLocalHost assembles the monotone-renumbered sub-host over ext (owned
-// ∪ ghosts, ascending). Rows come from the host CSR for owned nodes and
-// from the imported records for ghosts, each filtered to ext — references
-// outside the local set are provably outside every owned radius-t ball.
-func buildLocalHost(j *job, ext []int32, ghosts []ghostRec, withIDs bool) localHost {
+// ∪ ghosts, ascending), whose local indices idx gives. Rows come from the
+// host CSR for owned nodes and from the imported records for ghosts, each
+// filtered to ext — references outside the local set are provably outside
+// every owned radius-t ball.
+func buildLocalHost(j *job, ext []int32, idx localIndex, ghosts []ghostRec, withIDs bool) localHost {
 	k := len(ext)
+	// Size the filtered rows for the unfiltered total (an imported ghost row
+	// is the full host row, so host degrees give it), so the arena is
+	// allocated once instead of regrown.
+	total := 0
+	for _, v := range ext {
+		total += j.l.G.Degree(int(v))
+	}
 	offsets := make([]int32, k+1)
-	nbrs := make([]int32, 0)
+	nbrs := make([]int32, 0, total)
 	labels := make([]graph.Label, k)
 	var ids []int
 	if withIDs {
@@ -458,8 +479,8 @@ func buildLocalHost(j *job, ext []int32, ghosts []ghostRec, withIDs bool) localH
 			}
 		}
 		for _, u := range row {
-			if li, ok := lookupKnown(ext, u); ok {
-				nbrs = append(nbrs, int32(li))
+			if li, ok := idx.lookup(u); ok {
+				nbrs = append(nbrs, li)
 			}
 		}
 		offsets[i+1] = int32(len(nbrs))
@@ -472,6 +493,42 @@ func buildLocalHost(j *job, ext []int32, ghosts []ghostRec, withIDs bool) localH
 		h.instance = &graph.Instance{Labeled: l, IDs: ids}
 	}
 	return h
+}
+
+// localIndex maps host nodes to their positions in a shard's ascending local
+// list ext by rank: one bit per host node marks membership, and each word of
+// 64 nodes carries the count of members below it, so a member's local index
+// is that count plus the members below it within its word. It costs 16 bytes
+// per 64 host nodes, a sixteenth of a dense int32 index (25 KB per shard on a
+// 10^5-node host, which stays cache-resident).
+type localIndex []rankWord
+
+type rankWord struct {
+	bits  uint64
+	below int32
+}
+
+func newLocalIndex(n int, ext []int32) localIndex {
+	idx := make(localIndex, (n+63)/64)
+	for _, v := range ext {
+		idx[v>>6].bits |= 1 << (v & 63)
+	}
+	below := int32(0)
+	for i := range idx {
+		idx[i].below = below
+		below += int32(bits.OnesCount64(idx[i].bits))
+	}
+	return idx
+}
+
+// lookup returns u's local index and whether u is in the local set.
+func (idx localIndex) lookup(u int32) (int32, bool) {
+	w := idx[u>>6]
+	b := uint64(1) << (u & 63)
+	if w.bits&b == 0 {
+		return 0, false
+	}
+	return w.below + int32(bits.OnesCount64(w.bits&(b-1))), true
 }
 
 // containsInt32 binary-searches a sorted slice.

@@ -6,6 +6,7 @@ package engine_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -128,13 +129,54 @@ func TestShardedMPStats(t *testing.T) {
 		}
 	}
 
-	solo := engine.EvalOblivious(dec, l, engine.Options{Scheduler: engine.ShardedMPWith(1)})
-	if solo.Stats.GhostNodes != 0 || solo.Stats.HaloBytes != 0 || solo.Stats.Messages != 0 {
-		t.Errorf("single shard exchanged data: %+v", solo.Stats)
+	// A single shard has no boundary: under a message plan it must consult
+	// no ring fate, exchange nothing, and report the full per-round shape
+	// with every round empty.
+	inj := &countingInjector{Injector: &fault.Plan{Seed: 3, Message: &fault.MessageModel{DropRate: 0.9}}}
+	solo := engine.EvalOblivious(dec, l, engine.Options{Scheduler: engine.ShardedMPWith(1), Faults: inj})
+	if solo.Err != nil {
+		t.Fatal(solo.Err)
 	}
-	if solo.Stats.Shards != 1 {
-		t.Errorf("Shards=%d, want 1", solo.Stats.Shards)
+	if n := inj.fates.Load(); n != 0 {
+		t.Errorf("single shard consulted %d message fates, want 0", n)
 	}
+	ss := solo.Stats
+	if ss.Shards != 1 || ss.Workers != 1 || ss.Rounds != dec.Horizon {
+		t.Errorf("Shards=%d Workers=%d Rounds=%d, want 1/1/%d", ss.Shards, ss.Workers, ss.Rounds, dec.Horizon)
+	}
+	if ss.Messages != 0 || ss.HaloBytes != 0 || ss.GhostNodes != 0 || ss.IncompleteViews != 0 {
+		t.Errorf("single shard exchanged data: %+v", ss)
+	}
+	if ss.Evaluated != l.N() {
+		t.Errorf("Evaluated=%d, want %d", ss.Evaluated, l.N())
+	}
+	if len(ss.RoundHaloBytes) != dec.Horizon || len(ss.RoundGhostNodes) != dec.Horizon {
+		t.Fatalf("single-shard per-round lengths %d/%d, want %d", len(ss.RoundHaloBytes), len(ss.RoundGhostNodes), dec.Horizon)
+	}
+	for r := 0; r < dec.Horizon; r++ {
+		if ss.RoundHaloBytes[r] != 0 || ss.RoundGhostNodes[r] != 0 {
+			t.Errorf("single shard round %d: %d bytes, %d ghosts", r, ss.RoundHaloBytes[r], ss.RoundGhostNodes[r])
+		}
+	}
+
+	// With dedup, the single shard's cache accounting is Sequential's.
+	seqDedup := engine.EvalOblivious(dec, l, engine.Options{Dedup: true})
+	soloDedup := engine.EvalOblivious(dec, l, engine.Options{Scheduler: engine.ShardedMPWith(1), Dedup: true})
+	if seqDedup.Stats.DedupHits != soloDedup.Stats.DedupHits || seqDedup.Stats.DistinctViews != soloDedup.Stats.DistinctViews {
+		t.Errorf("dedup single shard: hits %d distinct %d, sequential hits %d distinct %d",
+			soloDedup.Stats.DedupHits, soloDedup.Stats.DistinctViews, seqDedup.Stats.DedupHits, seqDedup.Stats.DistinctViews)
+	}
+}
+
+// countingInjector forwards to an Injector and counts MessageFate calls.
+type countingInjector struct {
+	engine.Injector
+	fates atomic.Int64
+}
+
+func (c *countingInjector) MessageFate(round, from, to int) engine.MessageFate {
+	c.fates.Add(1)
+	return c.Injector.MessageFate(round, from, to)
 }
 
 // TestShardedMPMessageFaultTally checks the deterministic fault counters

@@ -2,21 +2,36 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
 // ViewExtractor extracts radius-t views in bulk while reusing all scratch
-// memory between calls: the BFS stamp array, the frontier queues, the view's
-// flat CSR arrays, and the label/identifier/original-index buffers. One
-// extractor per worker turns per-node view extraction from "two map-backed
-// allocations per node" (Ball + InducedSubgraph) into an allocation-free
-// inner loop, which is where the evaluation engine spends its time on the
-// large Section 3 instances.
+// memory between calls: the ball-membership mark array, the ball and raw-row
+// buffers, the view's flat CSR arrays, and the label/identifier/original-index
+// buffers. One extractor per worker turns per-node view extraction from "two
+// map-backed allocations per node" (Ball + InducedSubgraph) into an
+// allocation-free inner loop, which is where the evaluation engine spends its
+// time on the large Section 3 instances.
+//
+// The only host-sized scratch is mark, 4 bytes per host node: a node u is in
+// the current ball iff i := mark[u]-base is below the ball's length, and i is
+// then u's view index. Every extraction hands out the indices base, base+1,
+// ... and moves base past them, so marks left by earlier extractions (or by
+// a previous host after Reset) fall outside the range without being cleared;
+// whenever base+n would overflow, the whole backing array — including any
+// tail a Reset to a smaller host has hidden — is cleared once and base
+// restarts at 1.
 //
 // The emitted view graph is written directly into one reused flat arena
-// (offsets + neighbours), mirroring the host graph's CSR layout: both the
-// BFS over the host and the induced-subgraph emission walk contiguous int32
-// ranges, with no per-node slice headers on either side.
+// (offsets + neighbours), mirroring the host graph's CSR layout. Each
+// interior node's (depth < t) induced row is recorded while the BFS scans
+// it — every neighbour of such a node lies in the ball — and only the
+// depth-t layer's rows are scanned again and filtered. The recorded rows
+// hold view indices in host order; a counting transpose sorts them: the
+// view is symmetric, so appending each source, in ascending view index, to
+// the rows of its neighbours rebuilds every row already sorted, with no
+// per-row sort.
 //
 // The extractor reproduces ViewOf / ObliviousViewOf exactly: the view's node
 // ordering is the same BFS discovery order (centre first, then by distance,
@@ -39,13 +54,16 @@ type ViewExtractor struct {
 	// torn adjacency silently — is a detected error instead.
 	gen uint64
 
-	// BFS scratch, sized to the host graph.
-	stamp     []int   // visit epoch per original node
-	viewIndex []int32 // original node -> dense view index, valid when stamped
-	epoch     int
-	ball      []int
-	frontier  []int
-	next      []int
+	// Ball scratch. mark is sized to the host graph; see the type comment
+	// for the mark/base membership rule.
+	mark []uint32
+	base uint32
+	ball []int32
+	// raw holds the view's rows as recorded (view indices in host order,
+	// at the view's own offsets); cursor is the transpose's per-row fill
+	// position.
+	raw    []int32
+	cursor []int32
 
 	// Reusable view output buffers, sized to the largest ball seen so far.
 	// The view's adjacency is one flat CSR arena reused across calls.
@@ -69,13 +87,12 @@ type ViewExtractor struct {
 // NewViewExtractor returns an extractor producing ID-free views of l
 // (the batched equivalent of ObliviousViewOf).
 func NewViewExtractor(l *Labeled) *ViewExtractor {
-	n := l.N()
 	return &ViewExtractor{
-		l:         l,
-		gen:       l.G.Generation(),
-		stamp:     make([]int, n),
-		viewIndex: make([]int32, n),
-		code:      NewCodeWorkspace(),
+		l:    l,
+		gen:  l.G.Generation(),
+		mark: make([]uint32, l.N()),
+		base: 1, // a zeroed mark must not read as view index 0
+		code: NewCodeWorkspace(),
 	}
 }
 
@@ -88,22 +105,22 @@ func NewInstanceViewExtractor(in *Instance) *ViewExtractor {
 }
 
 // Reset rebinds the extractor to a new host graph while retaining every
-// scratch buffer: the BFS stamp array, the flat view arenas and the shared
+// scratch buffer: the mark array, the flat view arenas and the shared
 // canonical-code workspace. It is the batched-evaluation analogue of
 // NewViewExtractor — one worker's extractor serves a whole slice of
 // instances, so per-instance setup stops allocating once the largest host
-// has been seen. Stamp entries from the previous host are harmless: At
-// advances the visit epoch before every extraction, so no stale stamp can
-// equal a fresh epoch. After Reset the extractor produces ID-free views; use
-// ResetInstance to carry identifiers.
+// has been seen. Marks from the previous host are harmless: they all lie
+// below base, outside every range At hands out (a regrown array is zeroed,
+// base never falls to 0, and the wrap clear in At covers the array's full
+// capacity, so a tail re-exposed by growing back within capacity holds no
+// mark from before the clear). After Reset the extractor produces ID-free
+// views; use ResetInstance to carry identifiers.
 func (x *ViewExtractor) Reset(l *Labeled) {
 	n := l.N()
-	if cap(x.stamp) < n {
-		x.stamp = make([]int, n)
-		x.viewIndex = make([]int32, n)
+	if cap(x.mark) < n {
+		x.mark = make([]uint32, n)
 	} else {
-		x.stamp = x.stamp[:n]
-		x.viewIndex = x.viewIndex[:n]
+		x.mark = x.mark[:n]
 	}
 	x.l = l
 	x.gen = l.G.Generation()
@@ -128,48 +145,69 @@ func (x *ViewExtractor) At(v, t int) *View {
 	if t < 0 {
 		panic("graph: negative radius")
 	}
-	x.epoch++
-	x.stamp[v] = x.epoch
-	x.ball = append(x.ball[:0], v)
-	x.frontier = append(x.frontier[:0], v)
-	for d := 0; d < t && len(x.frontier) > 0; d++ {
-		x.next = x.next[:0]
-		for _, w := range x.frontier {
-			for _, u := range g.row(w) {
-				if x.stamp[u] != x.epoch {
-					x.stamp[u] = x.epoch
-					x.next = append(x.next, int(u))
-					x.ball = append(x.ball, int(u))
-				}
-			}
-		}
-		x.frontier, x.next = x.next, x.frontier
+	mark := x.mark
+	if uint64(x.base)+uint64(len(mark)) > math.MaxUint32 {
+		// Clear the hidden tail too: a later Reset may grow mark back over
+		// it, and marks written before the restart could then read as
+		// members of a ball.
+		clear(mark[:cap(mark)])
+		x.base = 1
 	}
+	base := x.base
 
-	k := len(x.ball)
-	x.growOutput(k)
-	for i, w := range x.ball {
-		x.viewIndex[w] = int32(i)
+	// BFS over the ball, layer by layer (layers are contiguous in ball).
+	// Nodes below depth t are expanded, and their rows are recorded as they
+	// are scanned: every neighbour of an interior node is in the ball.
+	mark[v] = base
+	ball := append(x.ball[:0], int32(v))
+	raw := x.raw[:0]
+	off := append(x.viewOffsets[:0], 0)
+	interior, layerEnd := 0, 1
+	for d := 0; d < t && interior < len(ball); d++ {
+		for ; interior < layerEnd; interior++ {
+			for _, u := range g.row(int(ball[interior])) {
+				i := mark[u] - base
+				if i >= uint32(len(ball)) {
+					i = uint32(len(ball))
+					mark[u] = base + i
+					ball = append(ball, u)
+				}
+				raw = append(raw, int32(i))
+			}
+			off = append(off, int32(len(raw)))
+		}
+		layerEnd = len(ball)
 	}
-	// Emit the induced subgraph straight into the flat arena: node i's
-	// neighbours are appended contiguously, then the (small) range is sorted
-	// to restore the CSR invariant (neighbours arrive in original-index
-	// order, but view indices follow BFS discovery order).
-	x.viewNbrs = x.viewNbrs[:0]
-	x.viewOffsets = append(x.viewOffsets[:0], 0)
-	for _, w := range x.ball {
-		start := len(x.viewNbrs)
-		for _, u := range g.row(w) {
-			if x.stamp[u] == x.epoch {
-				x.viewNbrs = append(x.viewNbrs, x.viewIndex[u])
+	// The depth-t layer was never expanded: scan its rows and keep only the
+	// neighbours inside the ball.
+	k := len(ball)
+	for _, w := range ball[interior:] {
+		for _, u := range g.row(int(w)) {
+			if i := mark[u] - base; i < uint32(k) {
+				raw = append(raw, int32(i))
 			}
 		}
-		slices.Sort(x.viewNbrs[start:])
-		x.viewOffsets = append(x.viewOffsets, int32(len(x.viewNbrs)))
+		off = append(off, int32(len(raw)))
 	}
-	for i, w := range x.ball {
+	x.base += uint32(k)
+
+	// Counting transpose: the view is symmetric, so row j of the transpose
+	// is row j itself, with the same length (hence the same offsets), and
+	// visiting sources in ascending order fills it already sorted.
+	nbrs := slices.Grow(x.viewNbrs[:0], len(raw))[:len(raw)]
+	cursor := append(x.cursor[:0], off[:k]...)
+	for i := 0; i < k; i++ {
+		for _, j := range raw[off[i]:off[i+1]] {
+			nbrs[cursor[j]] = int32(i)
+			cursor[j]++
+		}
+	}
+	x.ball, x.raw, x.cursor, x.viewOffsets, x.viewNbrs = ball, raw, cursor, off, nbrs
+
+	x.growOutput(k)
+	for i, w := range ball {
 		x.labels[i] = x.l.Labels[w]
-		x.orig[i] = w
+		x.orig[i] = int(w)
 		if x.ids != nil {
 			x.outIDs[i] = x.ids[w]
 		}
@@ -178,9 +216,9 @@ func (x *ViewExtractor) At(v, t int) *View {
 	// Pre-size the shared code workspace for this view while its arrays are
 	// hot: a following CanonCode miss then runs entirely in warm, already
 	// grown buffers (a handful of cap checks when nothing needs growing).
-	x.code.Prewarm(k, len(x.viewNbrs)/2)
+	x.code.Prewarm(k, len(nbrs)/2)
 
-	x.g = Graph{offsets: x.viewOffsets, neighbors: x.viewNbrs, m: len(x.viewNbrs) / 2}
+	x.g = Graph{offsets: off, neighbors: nbrs, m: len(nbrs) / 2}
 	x.labeled = Labeled{G: &x.g, Labels: x.labels[:k]}
 	x.view = View{Labeled: &x.labeled, Root: 0, Radius: t, Original: x.orig[:k], ws: x.code}
 	if x.ids != nil {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -124,6 +125,63 @@ func TestViewExtractorReset(t *testing.T) {
 		got, want := x.At(v, 2), ViewOf(in, v, 2)
 		if !viewsIdentical(got, want) || got.Code() != want.Code() {
 			t.Fatalf("ResetInstance extractor diverges on node %d", v)
+		}
+	}
+}
+
+// TestViewExtractorMarkWrap puts the mark base just below the point where
+// base+n would overflow uint32 and extracts across it: the clear-and-restart
+// must keep every view exact, before and after, including marks left by the
+// extractions just before the clear. It then covers a wrap on a host smaller
+// than the array's capacity: marks a larger host left in the tail that Reset
+// hid must not survive the restart, or growing back over them on the next
+// Reset would read them as ball members.
+func TestViewExtractorMarkWrap(t *testing.T) {
+	l := RandomLabels(Grid(5, 5), []Label{"a", "b"}, 1)
+	x := NewViewExtractor(l)
+	x.At(12, 2) // leave marks from an ordinary extraction
+	start := uint32(math.MaxUint32) - uint32(l.N()) - 30
+	x.base = start
+	wrapped := false
+	for round := 0; round < 3; round++ {
+		for v := 0; v < l.N(); v++ {
+			if !viewsIdentical(x.At(v, 2), ObliviousViewOf(l, v, 2)) {
+				t.Fatalf("round %d node %d: view diverges across the mark wrap (base %d)", round, v, x.base)
+			}
+			if x.base < start {
+				wrapped = true
+			}
+		}
+	}
+	if !wrapped {
+		t.Fatalf("base never wrapped: %d", x.base)
+	}
+
+	// Marks on the large host's tail, then a wrap on the small host two
+	// extractions later, so base restarts low and the large host's next
+	// extraction hands out the very values the stale tail marks hold.
+	large := RandomLabels(Grid(8, 8), []Label{"a", "b"}, 2)
+	small := RandomLabels(Cycle(6), []Label{"a", "b"}, 3)
+	x = NewViewExtractor(large)
+	x.At(27, 2) // an interior node: its whole ball lies past index 6
+	x.Reset(small)
+	x.base = uint32(math.MaxUint32) - uint32(small.N()) - 2
+	for v := 0; v < 2; v++ {
+		if !viewsIdentical(x.At(v, 1), ObliviousViewOf(small, v, 1)) {
+			t.Fatalf("small host node %d: view diverges across the mark wrap", v)
+		}
+	}
+	if x.base > uint32(math.MaxUint32)/2 {
+		t.Fatalf("base never wrapped on the small host: %d", x.base)
+	}
+	x.Reset(large)
+	order := []int{27} // the node whose stale marks collide, then every node
+	for v := 0; v < large.N(); v++ {
+		order = append(order, v)
+	}
+	for _, v := range order {
+		if !viewsIdentical(x.At(v, 2), ObliviousViewOf(large, v, 2)) {
+			t.Fatalf("large host node %d after wrap and regrow: view diverges", v)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file is the graph half of the sharded message-passing runtime: a
@@ -95,8 +95,9 @@ func (pt *Partition) assignContiguous(n int) {
 }
 
 // assignBFSBlocked cuts the BFS discovery order (restarted per component at
-// the smallest unvisited node) into p balanced blocks, then sorts each
-// shard's nodes ascending so Owned rows stay monotone in host-id order.
+// the smallest unvisited node) into p balanced blocks, then lists each
+// shard's nodes with one ascending scan of the shard map, so Owned rows stay
+// monotone in host-id order without a sort.
 func (pt *Partition) assignBFSBlocked(n int) {
 	order := make([]int32, 0, n)
 	pt.tr.next(n)
@@ -122,12 +123,13 @@ func (pt *Partition) assignBFSBlocked(n int) {
 	pt.tr.queue = q
 	for s := 0; s < pt.p; s++ {
 		lo, hi := s*n/pt.p, (s+1)*n/pt.p
-		block := append([]int32(nil), order[lo:hi]...)
-		sort.Slice(block, func(i, k int) bool { return block[i] < block[k] })
-		for _, v := range block {
+		for _, v := range order[lo:hi] {
 			pt.shard[v] = int32(s)
 		}
-		pt.owned[s] = block
+		pt.owned[s] = make([]int32, 0, hi-lo)
+	}
+	for v, s := range pt.shard {
+		pt.owned[s] = append(pt.owned[s], int32(v))
 	}
 }
 
@@ -226,7 +228,7 @@ func (pt *Partition) Halo(s, t int) (nodes, depth []int32) {
 	}
 	nodes = append([]int32(nil), q...)
 	tr.queue = q
-	sort.Slice(nodes, func(i, k int) bool { return nodes[i] < nodes[k] })
+	slices.Sort(nodes)
 	depth = make([]int32, len(nodes))
 	for i, v := range nodes {
 		depth[i] = tr.dist[v]

@@ -20,7 +20,12 @@ func partitionHosts(seed int64) []*Graph {
 	}
 }
 
+// TestPartitionCoversNodes checks that the shards partition the host, that
+// each Owned(s) is strictly ascending and agrees with ShardOf — also for
+// BFS-blocked shards, whose blocks of BFS order are not id ranges on random
+// hosts and cycles.
 func TestPartitionCoversNodes(t *testing.T) {
+	bfsNotRange := false
 	property := func(seed int64) bool {
 		for _, g := range partitionHosts(seed) {
 			for _, strat := range []PartitionStrategy{PartitionBFSBlocked, PartitionLevelContiguous} {
@@ -28,16 +33,24 @@ func TestPartitionCoversNodes(t *testing.T) {
 					pt := NewPartition(g, p, strat)
 					seen := make([]int, g.N())
 					for s := 0; s < pt.Shards(); s++ {
-						if len(pt.Owned(s)) == 0 {
+						own := pt.Owned(s)
+						if len(own) == 0 {
 							t.Logf("%v p=%d: empty shard %d", strat, p, s)
 							return false
 						}
-						for _, v := range pt.Owned(s) {
+						for i, v := range own {
 							seen[v]++
 							if pt.ShardOf(int(v)) != s {
 								t.Logf("%v p=%d: ShardOf(%d) != %d", strat, p, v, s)
 								return false
 							}
+							if i > 0 && own[i-1] >= v {
+								t.Logf("%v p=%d: shard %d not strictly ascending at %d: %v", strat, p, s, i, own)
+								return false
+							}
+						}
+						if strat == PartitionBFSBlocked && int(own[len(own)-1]-own[0])+1 != len(own) {
+							bfsNotRange = true
 						}
 					}
 					for v, c := range seen {
@@ -53,6 +66,9 @@ func TestPartitionCoversNodes(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+	if !bfsNotRange {
+		t.Error("every BFS-blocked shard was an id range: the hosts do not exercise BFS order")
 	}
 }
 
