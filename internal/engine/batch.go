@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -66,25 +64,14 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 	if sched == nil {
 		sched = Sequential
 	}
-	// One cache handle for the whole batch. Soundness is still gated
-	// per-instance by newJob (identifier-carrying instances keep dedup off);
-	// this only replaces the cache *handle* of the jobs that do dedup, so a
-	// Dedup batch without an explicit Options.Cache shares one private cache
-	// instead of creating one per instance.
-	var cache *ViewCache
-	shared := false
-	if (opts.Dedup || opts.Cache != nil) && dec.DecideRand == nil {
-		if opts.Cache != nil {
-			cache, shared = opts.Cache, true
-		} else if opts.CacheBytes > 0 {
-			cache = NewBoundedViewCache(opts.CacheBytes)
-		} else {
-			cache = NewViewCache()
-		}
-	}
+	// One cache for the whole batch: a Dedup batch without an explicit
+	// Options.Cache shares one private cache across its instances.
+	// Soundness is still gated per instance by newJob (identifier-carrying
+	// instances keep dedup off).
+	cache := jobCache(dec, opts)
 	jobs := make([]*job, len(items))
 	for i, it := range items {
-		j, err := newJob(dec, it.l, it.in, opts)
+		j, err := newJob(dec, it.l, it.in, opts, cache)
 		if err != nil {
 			// Validation errors are a property of (decider, options): they
 			// fail every instance of the batch identically.
@@ -92,9 +79,6 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 				outcomes[k] = Outcome{Accepted: false, Err: err}
 			}
 			return outcomes
-		}
-		if j.cache != nil {
-			j.cache, j.shared = cache, shared
 		}
 		j.stats.Scheduler = sched.Name()
 		jobs[i] = j
@@ -104,13 +88,7 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 	switch s := sched.(type) {
 	case seqScheduler:
 	case shardedScheduler:
-		workers = s.workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(items) {
-			workers = len(items)
-		}
+		workers = workerCount(s.workers, len(items))
 	default:
 		// MessagePassing (or an unknown backend): no batched form; run each
 		// instance through the scheduler's own per-instance path.
@@ -119,66 +97,32 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 		}
 		return outcomes
 	}
-
 	if len(items) == 1 {
 		outcomes[0] = jobs[0].run()
 		return outcomes
 	}
 
-	accepted := make([]bool, len(jobs))
-	runWorker := func() {
+	var next atomic.Int64
+	fanOut(workers, func(int) {
 		var x *graph.ViewExtractor
-		for i := range jobs {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(jobs) {
+				return
+			}
 			j := jobs[i]
 			if j.n == 0 {
-				continue // surfaced as ErrEmptyInstance below, never an accept
+				outcomes[i] = j.emptyOutcome()
+				continue
 			}
 			if x == nil {
 				x = j.extractor()
 			} else {
 				j.rebind(x)
 			}
-			accepted[i] = j.runNodes(x)
+			outcomes[i] = j.outcome(j.runNodes(1, x))
 		}
-	}
-	if workers <= 1 {
-		runWorker()
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				var x *graph.ViewExtractor
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					j := jobs[i]
-					if j.n == 0 {
-						continue
-					}
-					if x == nil {
-						x = j.extractor()
-					} else {
-						j.rebind(x)
-					}
-					accepted[i] = j.runNodes(x)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, j := range jobs {
-		if j.n == 0 {
-			j.stats.Workers = 0
-			outcomes[i] = Outcome{Verdicts: j.verdicts, Accepted: false, Err: ErrEmptyInstance, Stats: j.stats}
-			continue
-		}
-		outcomes[i] = j.outcome(accepted[i])
-	}
+	})
 	return outcomes
 }
 

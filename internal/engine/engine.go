@@ -5,17 +5,20 @@
 // an instance and aggregate by unanimity. The engine implements that
 // operation once, well:
 //
-//   - batched view extraction through graph.ViewExtractor, reusing per-worker
-//     frontier and subgraph scratch buffers instead of allocating per node;
+//   - batched view extraction through graph.ViewExtractor, one per worker,
+//     reusing its mark array, ball buffers and view arena instead of
+//     allocating per node;
 //   - optional canonical-view deduplication: structurally identical views
 //     (ubiquitous on cycles, layered trees T_r and the pyramid instances) are
 //     decided once and the verdict shared;
 //   - early-exit aggregation: LOCAL acceptance is all-accept, so in
 //     accept-only evaluations the first reject cancels all outstanding work;
-//   - pluggable schedulers — Sequential, Sharded (worker pool) and
-//     MessagePassing (the fidelity-preserving goroutine-per-node flooding
-//     runtime) — all guaranteed to produce identical per-node verdicts,
-//     which the parity suite enforces.
+//   - pluggable schedulers — Sequential, Sharded (worker pool), ShardedMP
+//     (partitioned shards exchanging halo rings) and MessagePassing (the
+//     fidelity-preserving goroutine-per-node flooding runtime) — all
+//     guaranteed to produce identical per-node verdicts, which the parity
+//     suite enforces. They share one worker fan-out, one per-worker counter
+//     tally and one recover-and-retry guard around every decide.
 //
 // The higher layers (internal/local, internal/decide, internal/experiments,
 // cmd/localsim) are thin adapters over Eval and EvalOblivious.
@@ -254,13 +257,6 @@ type Options struct {
 	// condition documented on ViewCache. When nil and Dedup is set, the
 	// engine uses a private cache for the one evaluation.
 	Cache *ViewCache
-	// CacheBytes bounds the private dedup cache the engine creates when
-	// Dedup is set without an explicit Cache: the cache is byte-accounted
-	// and CLOCK-evicted so it never exceeds this many bytes (see
-	// NewBoundedViewCache). 0 means the historical unbounded-with-entry-cap
-	// private cache; negative is a validation error. Ignored when
-	// Options.Cache is provided — bound a shared cache at construction.
-	CacheBytes int64
 	// Ctx, when set, bounds the evaluation: the sequential and sharded
 	// schedulers (and EvalBatch) poll it between nodes and stop once it is
 	// done, returning Outcome{Accepted: false, Err: wrapping ctx.Err()}.
@@ -295,7 +291,7 @@ type Options struct {
 // instead of a panic — library callers degrade gracefully; MustEval keeps the
 // panicking contract for call sites that want it.
 func Eval(dec Decider, in *graph.Instance, opts Options) Outcome {
-	j, err := newJob(dec, in.Labeled, in, opts)
+	j, err := newJob(dec, in.Labeled, in, opts, nil)
 	if err != nil {
 		return Outcome{Accepted: false, Err: err}
 	}
@@ -306,7 +302,7 @@ func Eval(dec Decider, in *graph.Instance, opts Options) Outcome {
 // identifiers anywhere — the Id-oblivious regime. Validation failures are
 // returned in Outcome.Err, as in Eval.
 func EvalOblivious(dec Decider, l *graph.Labeled, opts Options) Outcome {
-	j, err := newJob(dec, l, nil, opts)
+	j, err := newJob(dec, l, nil, opts, jobCache(dec, opts))
 	if err != nil {
 		return Outcome{Accepted: false, Err: err}
 	}
@@ -345,7 +341,12 @@ type job struct {
 	cache    *ViewCache // nil when dedup is off or unsound for this input
 	shared   bool       // cache came from Options.Cache (cross-run)
 	verdicts []Verdict
+
+	// statsMu serialises fold; inserted is the canonical entries this job
+	// added to the cache, reported as Stats.DistinctViews.
+	statsMu  sync.Mutex
 	stats    Stats
+	inserted int
 
 	faults      Injector
 	maxAttempts int
@@ -353,14 +354,35 @@ type job struct {
 
 	// done is Options.Ctx's done channel (nil without a context); canceled
 	// latches the first observation so every scheduler loop sees one answer.
+	// rejected is raised by the first No verdict any worker commits.
 	done     <-chan struct{}
 	canceled atomic.Bool
+	rejected atomic.Bool
 
 	errMu sync.Mutex
 	errs  []VerdictError
 }
 
-func newJob(dec Decider, l *graph.Labeled, in *graph.Instance, opts Options) (*job, error) {
+// jobCache picks an evaluation's verdict cache: the caller's shared
+// Options.Cache, a fresh private cache when only Dedup is set, and none for
+// randomized deciders (coins make verdicts per-node unique) or when dedup is
+// off. EvalBatch calls it once for the whole batch.
+func jobCache(dec Decider, opts Options) *ViewCache {
+	switch {
+	case dec.DecideRand != nil:
+		return nil
+	case opts.Cache != nil:
+		return opts.Cache
+	case opts.Dedup:
+		return NewViewCache()
+	}
+	return nil
+}
+
+// newJob validates one evaluation and resolves its inputs. cache is the
+// jobCache choice; it is dropped for identifier-carrying instances, whose
+// views are per-node unique.
+func newJob(dec Decider, l *graph.Labeled, in *graph.Instance, opts Options, cache *ViewCache) (*job, error) {
 	if (dec.Decide == nil) == (dec.DecideRand == nil) {
 		return nil, errors.New("engine: exactly one of Decide and DecideRand must be set")
 	}
@@ -369,9 +391,6 @@ func newJob(dec Decider, l *graph.Labeled, in *graph.Instance, opts Options) (*j
 	}
 	if opts.MaxAttempts < 0 {
 		return nil, fmt.Errorf("engine: negative MaxAttempts %d", opts.MaxAttempts)
-	}
-	if opts.CacheBytes < 0 {
-		return nil, fmt.Errorf("engine: negative CacheBytes %d", opts.CacheBytes)
 	}
 	j := &job{
 		dec:         dec,
@@ -389,17 +408,8 @@ func newJob(dec Decider, l *graph.Labeled, in *graph.Instance, opts Options) (*j
 	if j.backoff == 0 {
 		j.backoff = defaultRetryBackoff
 	}
-	// Dedup (and hence any cache use) is sound only for deterministic
-	// deciders on identifier-free evaluations; the engine silently skips it
-	// otherwise, exactly as before.
-	if (opts.Dedup || opts.Cache != nil) && in == nil && dec.DecideRand == nil {
-		if opts.Cache != nil {
-			j.cache, j.shared = opts.Cache, true
-		} else if opts.CacheBytes > 0 {
-			j.cache = NewBoundedViewCache(opts.CacheBytes)
-		} else {
-			j.cache = NewViewCache()
-		}
+	if in == nil && cache != nil {
+		j.cache, j.shared = cache, cache == opts.Cache
 	}
 	if opts.Ctx != nil {
 		j.done = opts.Ctx.Done()
@@ -427,11 +437,14 @@ func (j *job) run() Outcome {
 	}
 	j.stats.Scheduler = sched.Name()
 	if j.n == 0 {
-		j.stats.Workers = 0
-		return Outcome{Verdicts: j.verdicts, Accepted: false, Err: ErrEmptyInstance, Stats: j.stats}
+		return j.emptyOutcome()
 	}
-	accepted := sched.run(j)
-	return j.outcome(accepted)
+	return j.outcome(sched.run(j))
+}
+
+// emptyOutcome is the outcome of a job with no nodes: never an accept.
+func (j *job) emptyOutcome() Outcome {
+	return Outcome{Verdicts: j.verdicts, Accepted: false, Err: ErrEmptyInstance, Stats: j.stats}
 }
 
 // outcome assembles the final Outcome after a scheduler run: node-level

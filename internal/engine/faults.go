@@ -13,72 +13,36 @@ import (
 // panicking decider (or an injected crash from Options.Faults) costs one
 // node's verdict at worst — recorded as a VerdictError on the Outcome —
 // instead of killing the whole process. The guard is compiled into every
-// scheduler's hot path; fault-free overhead is one nil check plus an
-// open-coded defer per node, gated ≤5% by the CI benchgates.
+// scheduler's hot path; fault-free overhead is one nil check, an
+// open-coded defer and one closure call per node, gated ≤5% by the CI
+// benchgates.
 
-// evalNode runs the full guarded pipeline for one node on a functional
-// scheduler (sequential, sharded, batch): extract the view, consult the dedup
-// cache, decide — retrying up to j.maxAttempts times when an attempt panics.
-// ok reports whether a verdict was produced; on false the node has been
-// recorded in j.errs and the caller must not treat the returned No as a
-// decision. Counters are worker-local, aggregated by the caller.
-func (j *job) evalNode(x *graph.ViewExtractor, v int, evaluated, hits, inserted, crashes, retries *int) (Verdict, bool) {
+// guardedVerdict is the engine's one recover-and-retry path: it runs body
+// for node v, retrying up to j.maxAttempts times when an attempt panics
+// (injected via Options.Faults or a genuine panic). ok reports whether a
+// verdict was produced; on false the node has been recorded in j.errs and
+// the caller must not treat the returned No as a decision. Crash and retry
+// counts go to the worker's tally.
+func (j *job) guardedVerdict(v int, t *tally, body func() Verdict) (Verdict, bool) {
 	var cause error
 	for a := 0; a < j.maxAttempts; a++ {
 		if a > 0 {
-			*retries++
+			t.retries++
 			j.backoffSleep(v, a)
 		}
-		verdict, err := j.attemptNode(x, v, a, evaluated, hits, inserted)
+		verdict, err := j.attempt(v, a, body)
 		if err == nil {
 			return verdict, true
 		}
-		*crashes++
+		t.crashes++
 		cause = err
 	}
 	j.recordErr(VerdictError{Node: v, Attempts: j.maxAttempts, Cause: cause})
 	return No, false
 }
 
-// attemptNode is one guarded attempt of evalNode: the recover boundary.
-// View extraction runs inside the guard too — a decider receiving a view is
-// not the only thing that can panic on a corrupted instance.
-func (j *job) attemptNode(x *graph.ViewExtractor, v, attempt int, evaluated, hits, inserted *int) (verdict Verdict, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	if j.faults != nil && j.faults.CrashDecide(v, attempt) {
-		panic("injected worker crash")
-	}
-	view := x.At(v, j.dec.Horizon)
-	return cachedVerdict(j, view, v, evaluated, hits, inserted), nil
-}
-
-// guardedVerdict is the retry loop for callers that bring their own decide
-// body (the MessagePassing backend, whose views are assembled from gathered
-// knowledge rather than extracted). Same contract as evalNode.
-func (j *job) guardedVerdict(v int, crashes, retries *int, body func() Verdict) (Verdict, bool) {
-	var cause error
-	for a := 0; a < j.maxAttempts; a++ {
-		if a > 0 {
-			*retries++
-			j.backoffSleep(v, a)
-		}
-		verdict, err := j.attemptBody(v, a, body)
-		if err == nil {
-			return verdict, true
-		}
-		*crashes++
-		cause = err
-	}
-	j.recordErr(VerdictError{Node: v, Attempts: j.maxAttempts, Cause: cause})
-	return No, false
-}
-
-// attemptBody is guardedVerdict's recover boundary.
-func (j *job) attemptBody(v, attempt int, body func() Verdict) (verdict Verdict, err error) {
+// attempt is one guarded attempt of guardedVerdict: the recover boundary.
+func (j *job) attempt(v, attempt int, body func() Verdict) (verdict Verdict, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
@@ -88,6 +52,16 @@ func (j *job) attemptBody(v, attempt int, body func() Verdict) (verdict Verdict,
 		panic("injected worker crash")
 	}
 	return body(), nil
+}
+
+// evalNode is the guarded pipeline for one node on the host: extract the
+// view, consult the dedup cache, decide. Extraction runs inside the guard
+// too — a decider receiving a view is not the only thing that can panic on a
+// corrupted instance.
+func (j *job) evalNode(x *graph.ViewExtractor, v int, t *tally) (Verdict, bool) {
+	return j.guardedVerdict(v, t, func() Verdict {
+		return cachedVerdict(j, x.At(v, j.dec.Horizon), v, t)
+	})
 }
 
 // retryBackoffCap bounds the exponential retry backoff: beyond it further

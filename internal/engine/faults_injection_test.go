@@ -5,6 +5,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -267,5 +268,73 @@ func TestMessageAndCrashFaultsCompose(t *testing.T) {
 	}
 	if out.Stats.Crashes == 0 || out.Stats.Dropped == 0 {
 		t.Errorf("stats = %+v, want both crash and drop activity", out.Stats)
+	}
+}
+
+// Every node loop tallies crashes, retries and cache traffic per worker and
+// folds the tallies into one Stats. Crash draws are pure in (node, attempt)
+// and a miss is computed under its shard lock exactly once, so the folded
+// counters must not depend on which loop ran or how many workers it had:
+// Sequential, the Sharded pool, ShardedMP's shards and an Incremental
+// session's initial sweep all report the same numbers.
+func TestCrashCounterParityAcrossLoops(t *testing.T) {
+	const n = 300
+	hosts := []struct {
+		name string
+		l    func() *graph.Labeled
+	}{
+		{"cycle", func() *graph.Labeled { return graph.UniformlyLabeled(graph.Cycle(n), "c") }},
+		{"grid", func() *graph.Labeled { return graph.UniformlyLabeled(graph.Grid(15, 20), "g") }},
+		{"random", func() *graph.Labeled { return testInstance(n) }},
+	}
+	type counters struct{ evaluated, hits, distinct, crashes, retries int }
+	of := func(s engine.Stats) counters {
+		return counters{s.Evaluated, s.DedupHits, s.DistinctViews, s.Crashes, s.Retries}
+	}
+	plan := &fault.Plan{Seed: 21, Crash: &fault.CrashModel{Rate: 0.3}}
+	scheds := []struct {
+		name  string
+		sched engine.Scheduler
+	}{
+		{"sharded-1", engine.ShardedWith(1)},
+		{"sharded-2", engine.ShardedWith(2)},
+		{"sharded-8", engine.ShardedWith(8)},
+		{"sharded-mp-1", engine.ShardedMPWith(1)},
+		{"sharded-mp-2", engine.ShardedMPWith(2)},
+		{"sharded-mp-4", engine.ShardedMPWith(4)},
+	}
+	for _, h := range hosts {
+		for _, dedup := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/dedup=%v", h.name, dedup), func(t *testing.T) {
+				opts := engine.Options{Dedup: dedup, Faults: plan, MaxAttempts: 8, RetryBackoff: -1}
+				base := engine.EvalOblivious(degreeDecider(), h.l(), opts)
+				if base.Err != nil {
+					t.Fatal(base.Err)
+				}
+				want := of(base.Stats)
+				t.Logf("sequential: %+v", want)
+				if want.crashes == 0 {
+					t.Fatal("rate 0.3 injected no crashes")
+				}
+				for _, s := range scheds {
+					opts := opts
+					opts.Scheduler = s.sched
+					out := engine.EvalOblivious(degreeDecider(), h.l(), opts)
+					if out.Err != nil {
+						t.Fatalf("%s: %v", s.name, out.Err)
+					}
+					if got := of(out.Stats); got != want {
+						t.Errorf("%s: counters %+v, sequential %+v", s.name, got, want)
+					}
+				}
+				inc, err := engine.NewIncremental(degreeDecider(), h.l(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := of(inc.Stats()); got != want {
+					t.Errorf("incremental: counters %+v, sequential %+v", got, want)
+				}
+			})
+		}
 	}
 }

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -68,6 +66,11 @@ type Incremental struct {
 	trav *graph.Traversal
 	xs   []*graph.ViewExtractor
 
+	// next is the repair sweep's dirty-list cursor; sweep is the per-worker
+	// repair body, bound once so a repair allocates nothing.
+	next  atomic.Int64
+	sweep func(w int)
+
 	// Resident state: one verdict per node plus the aggregate counters that
 	// make Accepted O(1). failed marks nodes whose last repair crashed every
 	// attempt; they hold verdict No but are counted separately (a failure is
@@ -93,8 +96,7 @@ type Incremental struct {
 	// session's back.
 	gen uint64
 
-	inserted int
-	updates  int
+	updates int
 }
 
 // NewIncremental opens a session on l, runs the initial full evaluation with
@@ -104,7 +106,7 @@ type Incremental struct {
 func NewIncremental(dec Decider, l *graph.Labeled, opts Options) (*Incremental, error) {
 	opts.EarlyExit = false
 	opts.Ctx = nil
-	j, err := newJob(dec, l, nil, opts)
+	j, err := newJob(dec, l, nil, opts, jobCache(dec, opts))
 	if err != nil {
 		return nil, err
 	}
@@ -123,6 +125,7 @@ func NewIncremental(dec Decider, l *graph.Labeled, opts Options) (*Incremental, 
 		mark:     make([]uint64, j.n),
 		gen:      l.G.Generation(),
 	}
+	inc.sweep = inc.sweepWorker
 	inc.j.stats.Scheduler = "incremental(" + inc.schedulerName() + ")"
 	// Convert the host to its dynamic representation now, while the O(n)
 	// initial evaluation dominates anyway. Left to the lazy conversion in
@@ -249,10 +252,8 @@ func (inc *Incremental) Updates() int { return inc.updates }
 // invocations, cache hits and crash/retry counts summed over the initial
 // evaluation and every repair since.
 func (inc *Incremental) Stats() Stats {
-	stats := inc.j.stats
-	stats.EarlyExit = false
-	inc.finishStats(&stats)
-	return stats
+	inc.j.finishCacheStats()
+	return inc.j.stats
 }
 
 // Outcome assembles a from-scratch-shaped Outcome from the resident state:
@@ -337,59 +338,36 @@ func (inc *Incremental) repair() {
 		inc.res = make([]Verdict, k)
 		inc.ok = make([]bool, k)
 	}
-	res, oks := inc.res[:k], inc.ok[:k]
-
 	workers := inc.repairWorkers(k)
 	if workers > inc.j.stats.Workers {
 		// Stats.Workers reports the session's high-water pool size: repairs
 		// pick their own width per dirty set.
 		inc.j.stats.Workers = workers
 	}
-	if workers <= 1 {
-		x := inc.extractor(0)
-		for i, v := range inc.dirty {
-			res[i], oks[i] = inc.j.evalNode(x, v,
-				&inc.j.stats.Evaluated, &inc.j.stats.DedupHits, &inc.inserted,
-				&inc.j.stats.Crashes, &inc.j.stats.Retries)
-		}
-	} else {
-		for w := 0; w < workers; w++ {
-			inc.extractor(w) // bind before launch; extractor() is not goroutine-safe
-		}
-		var (
-			next atomic.Int64
-			mu   sync.Mutex
-			wg   sync.WaitGroup
-		)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(x *graph.ViewExtractor) {
-				defer wg.Done()
-				evaluated, hits, ins, crashes, retries := 0, 0, 0, 0, 0
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= k {
-						break
-					}
-					res[i], oks[i] = inc.j.evalNode(x, inc.dirty[i],
-						&evaluated, &hits, &ins, &crashes, &retries)
-				}
-				mu.Lock()
-				inc.j.stats.Evaluated += evaluated
-				inc.j.stats.DedupHits += hits
-				inc.j.stats.Crashes += crashes
-				inc.j.stats.Retries += retries
-				inc.inserted += ins
-				mu.Unlock()
-			}(inc.xs[w])
-		}
-		wg.Wait()
+	for w := 0; w < workers; w++ {
+		inc.extractor(w) // bind before launch; extractor() is not goroutine-safe
 	}
-
+	inc.next.Store(0)
+	fanOut(workers, inc.sweep)
 	for i, v := range inc.dirty {
-		inc.commit(v, res[i], oks[i])
+		inc.commit(v, inc.res[i], inc.ok[i])
 	}
 	inc.drainErrs()
+}
+
+// sweepWorker is one repair worker: it claims dirty-list positions from the
+// shared cursor and decides them on its own extractor.
+func (inc *Incremental) sweepWorker(w int) {
+	x := inc.xs[w]
+	var t tally
+	for {
+		i := int(inc.next.Add(1)) - 1
+		if i >= len(inc.dirty) {
+			break
+		}
+		inc.res[i], inc.ok[i] = inc.j.evalNode(x, inc.dirty[i], &t)
+	}
+	inc.j.fold(&t)
 }
 
 // commit replaces node v's resident verdict, maintaining the aggregate
@@ -445,42 +423,21 @@ func (inc *Incremental) extractor(w int) *graph.ViewExtractor {
 }
 
 // repairWorkers picks the sweep's worker count from the configured
-// scheduler: sharded repairs use its pool (capped at the dirty count),
-// everything else — including MessagePassing, whose flooding runtime is
-// whole-instance by construction — repairs sequentially. Sub-threshold
-// sweeps run inline like the sharded scheduler does.
+// scheduler: sharded repairs use its pool (capped at the dirty count, inline
+// below the sharded threshold); everything else — including MessagePassing,
+// whose flooding runtime is whole-instance by construction — repairs
+// sequentially.
 func (inc *Incremental) repairWorkers(k int) int {
-	s, ok := inc.opts.Scheduler.(shardedScheduler)
-	if !ok || k < shardedMinNodes {
-		return 1
+	if s, ok := inc.opts.Scheduler.(shardedScheduler); ok {
+		return s.poolSize(k)
 	}
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
-	return workers
+	return 1
 }
 
 // schedulerName names the configured repair backend for stats.
 func (inc *Incremental) schedulerName() string {
-	if inc.opts.Scheduler == nil {
-		return Sequential.Name()
+	if _, ok := inc.opts.Scheduler.(shardedScheduler); ok {
+		return inc.opts.Scheduler.Name()
 	}
-	if _, ok := inc.opts.Scheduler.(shardedScheduler); !ok {
-		return Sequential.Name()
-	}
-	return inc.opts.Scheduler.Name()
-}
-
-// finishStats fills the cache-side fields of a stats snapshot.
-func (inc *Incremental) finishStats(stats *Stats) {
-	if inc.j.cache == nil {
-		return
-	}
-	stats.DistinctViews = inc.inserted
-	stats.CacheSize = inc.j.cache.Len()
-	stats.CacheShared = inc.j.shared
+	return Sequential.Name()
 }

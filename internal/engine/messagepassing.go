@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -233,64 +232,39 @@ func (mpScheduler) run(j *job) bool {
 		}
 	}
 
-	var (
-		rejected  atomic.Bool
-		statsMu   sync.Mutex
-		wg        sync.WaitGroup
-		evaluated atomic.Int64
-	)
-	wg.Add(n)
-	for v := 0; v < n; v++ {
-		go func(v int) {
-			defer wg.Done()
-			buf := newNodeKnowledge(j, v, idOf(v))
-			sent, units := 0, 0
-			for round := 0; round < t; round++ {
-				// Send a snapshot to every neighbour, then receive from every
-				// neighbour. The per-edge one-slot buffers make each round a
-				// synchronisation barrier with the local neighbourhood.
-				snapshot := buf.snapshot()
-				for _, u := range j.l.G.Neighbors(v) {
-					chans[edgeKey{from: v, to: int(u)}] <- snapshot
-					sent++
-					units += snapshot.size()
-				}
-				for _, u := range j.l.G.Neighbors(v) {
-					buf.absorb(<-chans[edgeKey{from: int(u), to: v}])
-				}
+	fanOut(n, func(v int) {
+		buf := newNodeKnowledge(j, v, idOf(v))
+		var tl tally
+		for round := 0; round < t; round++ {
+			// Send a snapshot to every neighbour, then receive from every
+			// neighbour. The per-edge one-slot buffers make each round a
+			// synchronisation barrier with the local neighbourhood.
+			snapshot := buf.snapshot()
+			for _, u := range j.l.G.Neighbors(v) {
+				chans[edgeKey{from: v, to: int(u)}] <- snapshot
+				tl.messages++
+				tl.units += snapshot.size()
 			}
-			// The protocol itself must run to completion (neighbours depend
-			// on this node's sends), but once a reject is known an
-			// early-exit evaluation skips the remaining decide calls.
-			crashes, retries := 0, 0
-			if !(j.opts.EarlyExit && rejected.Load()) {
-				verdict, ok := j.guardedVerdict(v, &crashes, &retries, func() Verdict {
-					x := mpAssemblers.Get().(*graph.ViewExtractor)
-					verdict := j.decideView(assembleView(x, buf.cur, v, t, oblivious), v)
-					mpAssemblers.Put(x)
-					return verdict
-				})
-				evaluated.Add(1)
-				if ok {
-					if j.verdicts != nil {
-						j.verdicts[v] = verdict
-					}
-					if verdict == No {
-						rejected.Store(true)
-					}
-				}
+			for _, u := range j.l.G.Neighbors(v) {
+				buf.absorb(<-chans[edgeKey{from: int(u), to: v}])
 			}
-			statsMu.Lock()
-			j.stats.Messages += sent
-			j.stats.KnowledgeUnits += units
-			j.stats.Crashes += crashes
-			j.stats.Retries += retries
-			statsMu.Unlock()
-		}(v)
-	}
-	wg.Wait()
-	accepted := !rejected.Load()
-	j.stats.Evaluated = int(evaluated.Load())
-	j.stats.EarlyExit = j.opts.EarlyExit && !accepted
-	return accepted
+		}
+		// The protocol itself must run to completion (neighbours depend on
+		// this node's sends), but once a reject is known an early-exit
+		// evaluation skips the remaining decide calls.
+		if !(j.opts.EarlyExit && j.rejected.Load()) {
+			verdict, ok := j.guardedVerdict(v, &tl, func() Verdict {
+				x := mpAssemblers.Get().(*graph.ViewExtractor)
+				verdict := j.decideView(assembleView(x, buf.cur, v, t, oblivious), v)
+				mpAssemblers.Put(x)
+				return verdict
+			})
+			tl.evaluated++
+			if ok {
+				j.record(v, verdict)
+			}
+		}
+		j.fold(&tl)
+	})
+	return j.settle()
 }

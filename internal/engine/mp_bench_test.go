@@ -22,7 +22,7 @@ import (
 func BenchmarkMPRound(b *testing.B) {
 	const n, t = 512, 4
 	l := graph.UniformlyLabeled(graph.Cycle(n), "u")
-	j, err := newJob(cheapDecider(t), l, nil, Options{})
+	j, err := newJob(cheapDecider(t), l, nil, Options{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

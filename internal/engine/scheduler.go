@@ -58,11 +58,11 @@ const shardedMinNodes = 64
 const dedupMaxViewNodes = 64
 
 // cachedVerdict looks up / fills the dedup cache around a decide call. The
-// cache handles its own striped locking, so sequential and sharded workers
-// share this path; counters are worker-local and aggregated by the caller.
-func cachedVerdict(j *job, view *graph.View, v int, evaluated, hits, inserted *int) Verdict {
+// cache handles its own striped locking, so every worker shares this path;
+// counters go to the worker's own tally.
+func cachedVerdict(j *job, view *graph.View, v int, t *tally) Verdict {
 	if j.cache == nil || view.N() > dedupMaxViewNodes {
-		*evaluated++
+		t.evaluated++
 		return j.decideView(view, v)
 	}
 	// First level: the raw-structure key — one linear pass over the view's
@@ -71,7 +71,7 @@ func cachedVerdict(j *job, view *graph.View, v int, evaluated, hits, inserted *i
 	// common case never pays for a canonical code.
 	raw := view.RawCode()
 	if verdict, ok := j.cache.lookupRaw(j.dec.Name, j.dec.Horizon, raw); ok {
-		*hits++
+		t.hits++
 		return verdict
 	}
 	// Second level: the canonical code, catching views that repeat only up
@@ -82,70 +82,85 @@ func cachedVerdict(j *job, view *graph.View, v int, evaluated, hits, inserted *i
 	verdict, computed, stored := j.cache.lookupOrCompute(j.dec.Name, j.dec.Horizon, code,
 		func() Verdict { return j.decideView(view, v) })
 	if computed {
-		*evaluated++
+		t.evaluated++
 	} else {
-		*hits++
+		t.hits++
 	}
 	if stored {
-		*inserted++
+		t.inserted++
 	}
 	j.cache.storeRaw(j.dec.Name, j.dec.Horizon, raw, verdict)
 	return verdict
 }
 
+// tally is one worker's share of a job's counters. Workers count into their
+// own tally without synchronisation and fold it into the job once, when they
+// finish.
+type tally struct {
+	evaluated, hits, inserted, crashes, retries, incomplete int
+	// messages and units are the message-passing backends' traffic: sends
+	// and the node records they carried.
+	messages, units int
+}
+
+// fold adds a finished worker's tally to the job's stats. It is the one
+// place worker counters meet, so concurrent workers serialise here.
+func (j *job) fold(t *tally) {
+	j.statsMu.Lock()
+	j.stats.Evaluated += t.evaluated
+	j.stats.DedupHits += t.hits
+	j.stats.Crashes += t.crashes
+	j.stats.Retries += t.retries
+	j.stats.IncompleteViews += t.incomplete
+	j.stats.Messages += t.messages
+	j.stats.KnowledgeUnits += t.units
+	j.inserted += t.inserted
+	j.statsMu.Unlock()
+}
+
 // finishCacheStats records the cache-side stats after a run.
-func (j *job) finishCacheStats(inserted int) {
+func (j *job) finishCacheStats() {
 	if j.cache == nil {
 		return
 	}
-	j.stats.DistinctViews = inserted
+	j.stats.DistinctViews = j.inserted
 	j.stats.CacheSize = j.cache.Len()
 	j.stats.CacheShared = j.shared
+}
+
+// workerCount resolves a pool size: want <= 0 means GOMAXPROCS, and a pool
+// never has more workers than items.
+func workerCount(want, items int) int {
+	if want <= 0 {
+		want = runtime.GOMAXPROCS(0)
+	}
+	return min(want, items)
+}
+
+// fanOut runs body(w) for every worker index w in [0, workers) and returns
+// once all have finished. A single worker runs inline on the calling
+// goroutine, so one-worker runs never spawn.
+func fanOut(workers int, body func(w int)) {
+	if workers <= 1 {
+		body(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			body(w)
+		}()
+	}
+	wg.Wait()
 }
 
 type seqScheduler struct{}
 
 func (seqScheduler) Name() string { return "sequential" }
 
-func (seqScheduler) run(j *job) bool {
-	return j.runNodes(j.extractor())
-}
-
-// runNodes evaluates every node of the job in index order on the calling
-// goroutine through the given extractor (which must be bound to the job's
-// host), filling verdicts and all single-worker stats. It is the sequential
-// scheduler's whole body and the per-instance inner loop of EvalBatch, where
-// the extractor arrives Reset from the previous instance instead of freshly
-// allocated.
-func (j *job) runNodes(x *graph.ViewExtractor) bool {
-	accepted := true
-	inserted := 0
-	for v := 0; v < j.n; v++ {
-		if j.checkCanceled() {
-			break
-		}
-		verdict, ok := j.evalNode(x, v,
-			&j.stats.Evaluated, &j.stats.DedupHits, &inserted, &j.stats.Crashes, &j.stats.Retries)
-		if !ok {
-			// All attempts crashed: recorded in j.errs; neither an accept
-			// nor a reject, so it must not trigger early exit.
-			continue
-		}
-		if j.verdicts != nil {
-			j.verdicts[v] = verdict
-		}
-		if verdict == No {
-			accepted = false
-			if j.opts.EarlyExit {
-				break
-			}
-		}
-	}
-	j.stats.Workers = 1
-	j.finishCacheStats(inserted)
-	j.stats.EarlyExit = j.opts.EarlyExit && !accepted
-	return accepted
-}
+func (seqScheduler) run(j *job) bool { return j.runNodes(1, nil) }
 
 type shardedScheduler struct {
 	// workers caps the pool; 0 means GOMAXPROCS.
@@ -154,66 +169,69 @@ type shardedScheduler struct {
 
 func (shardedScheduler) Name() string { return "sharded" }
 
-func (s shardedScheduler) run(j *job) bool {
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > j.n {
-		workers = j.n
-	}
-	if workers <= 1 || j.n < shardedMinNodes {
-		return seqScheduler{}.run(j)
-	}
+func (s shardedScheduler) run(j *job) bool { return j.runNodes(s.poolSize(j.n), nil) }
 
-	var (
-		next     atomic.Int64
-		rejected atomic.Bool
-		mu       sync.Mutex // guards stats aggregation only; the cache stripes its own locks
-		wg       sync.WaitGroup
-		inserted int
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			x := j.extractor()
-			evaluated, hits, ins, crashes, retries := 0, 0, 0, 0, 0
-			for {
-				v := int(next.Add(1)) - 1
-				if v >= j.n {
-					break
-				}
-				if j.opts.EarlyExit && rejected.Load() {
-					break
-				}
-				if j.checkCanceled() {
-					break
-				}
-				verdict, ok := j.evalNode(x, v, &evaluated, &hits, &ins, &crashes, &retries)
-				if !ok {
-					continue // recorded in j.errs; not a reject
-				}
-				if j.verdicts != nil {
-					j.verdicts[v] = verdict
-				}
-				if verdict == No {
-					rejected.Store(true)
-				}
-			}
-			mu.Lock()
-			j.stats.Evaluated += evaluated
-			j.stats.DedupHits += hits
-			j.stats.Crashes += crashes
-			j.stats.Retries += retries
-			inserted += ins
-			mu.Unlock()
-		}()
+// poolSize is the pool for a sweep over items nodes: sub-threshold sweeps
+// run on one worker, larger ones on the configured cap.
+func (s shardedScheduler) poolSize(items int) int {
+	if items < shardedMinNodes {
+		return 1
 	}
-	wg.Wait()
-	accepted := !rejected.Load()
+	return workerCount(s.workers, items)
+}
+
+// runNodes is the node loop behind Sequential, Sharded, every EvalBatch
+// instance and ShardedMP's one-shard case: workers claim node indices from a
+// shared cursor (in index order on one worker) and decide them through the
+// guarded evalNode pipeline until the nodes run out or the job stops. x,
+// when non-nil, is worker 0's extractor, already bound to the job's host
+// (EvalBatch passes one Reset from the previous instance); the other workers
+// build their own.
+func (j *job) runNodes(workers int, x *graph.ViewExtractor) bool {
+	var next atomic.Int64
+	fanOut(workers, func(w int) {
+		xw := x
+		if w > 0 || xw == nil {
+			xw = j.extractor()
+		}
+		var t tally
+		for {
+			v := int(next.Add(1)) - 1
+			if v >= j.n || j.stopped() {
+				break
+			}
+			if verdict, ok := j.evalNode(xw, v, &t); ok {
+				j.record(v, verdict)
+			}
+		}
+		j.fold(&t)
+	})
 	j.stats.Workers = workers
-	j.finishCacheStats(inserted)
+	j.finishCacheStats()
+	return j.settle()
+}
+
+// stopped reports that a node loop should claim no further nodes: a reject
+// is known under EarlyExit, or the evaluation's context is done.
+func (j *job) stopped() bool {
+	return j.opts.EarlyExit && j.rejected.Load() || j.checkCanceled()
+}
+
+// record commits node v's verdict. A node whose every attempt crashed is
+// never recorded: it is in j.errs, neither an accept nor a reject.
+func (j *job) record(v int, verdict Verdict) {
+	if j.verdicts != nil {
+		j.verdicts[v] = verdict
+	}
+	if verdict == No {
+		j.rejected.Store(true)
+	}
+}
+
+// settle closes a run: it accepted iff no node rejected, and it stopped
+// early iff EarlyExit was on and some node did.
+func (j *job) settle() bool {
+	accepted := !j.rejected.Load()
 	j.stats.EarlyExit = j.opts.EarlyExit && !accepted
 	return accepted
 }

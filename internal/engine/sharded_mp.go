@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -141,15 +139,16 @@ func (j *job) messageFate(round, from, to int) MessageFate {
 // extractor views are scratch-backed and the decide must finish before the
 // next extraction.
 type fallbackExtractor struct {
-	x *graph.ViewExtractor
+	mu sync.Mutex
+	x  *graph.ViewExtractor
 }
 
 // decide extracts node v's true functional view and decides it, serialised
 // on mu. The extracted view is exactly the functional definition of the
 // node's radius-t view, so fallback verdicts equal lossless verdicts.
-func (f *fallbackExtractor) decide(j *job, mu *sync.Mutex, v int) Verdict {
-	mu.Lock()
-	defer mu.Unlock()
+func (f *fallbackExtractor) decide(j *job, v int) Verdict {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.x == nil {
 		f.x = j.extractor()
 	}
@@ -162,15 +161,12 @@ func (s shardedMPScheduler) run(j *job) bool {
 		return false
 	}
 	t := j.dec.Horizon
-	p := s.shards
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p == 1 || j.n == 1 {
+	p := workerCount(s.shards, j.n)
+	if p == 1 {
 		// One shard owns the whole host: it has no boundary, so no halo and
 		// no ring fate, and its monotone-renumbered sub-host would be the
 		// host itself. Run the Sequential loop on the host directly.
-		accepted := j.runNodes(j.extractor())
+		accepted := j.runNodes(1, nil)
 		j.stats.Rounds = t
 		j.stats.Shards = 1
 		j.stats.RoundHaloBytes = make([]int, t)
@@ -257,171 +253,139 @@ func (s shardedMPScheduler) run(j *job) bool {
 	}
 	withIDs := j.in != nil
 
-	var (
-		rejected   atomic.Bool
-		statsMu    sync.Mutex
-		wg         sync.WaitGroup
-		inserted   int
-		fallbackMu sync.Mutex
-		fallbackX  fallbackExtractor
-	)
-	roundBytes := make([]int, t)
-	roundGhosts := make([]int, t)
-	wg.Add(p)
-	for sh := 0; sh < p; sh++ {
-		go func(sh int) {
-			defer wg.Done()
-			sent, units, ghostsIn, bytesOut := 0, 0, 0, 0
-			localRoundBytes := make([]int, t)
-			localRoundGhosts := make([]int, t)
+	var fallback fallbackExtractor
+	// Per-shard, per-round halo tallies, summed once the shards are done.
+	roundBytes := make([][]int, p)
+	roundGhosts := make([][]int, p)
+	fanOut(p, func(sh int) {
+		var tl tally
+		localRoundBytes := make([]int, t)
+		localRoundGhosts := make([]int, t)
+		roundBytes[sh], roundGhosts[sh] = localRoundBytes, localRoundGhosts
 
-			// Send loop: per round, encode and transmit this shard's due
-			// rings. Channels are buffered for every copy a link can carry,
-			// so sends never block and the rounds need no barrier — halo data
-			// is never relayed, so there is no transitive dependency between
-			// rounds.
-			encDicts := make([]map[graph.Label]int, len(outLinks[sh]))
-			for i := range encDicts {
-				encDicts[i] = make(map[graph.Label]int)
-			}
-			for round := 0; round < t; round++ {
-				for li, l := range outLinks[sh] {
-					for _, snd := range l.sends {
-						if snd.ring.round != round {
-							continue
-						}
-						payload := encodeHaloRing(j, encDicts[li], snd.ring, withIDs)
-						for c := 0; c < snd.copies; c++ {
-							l.ch <- haloMsg{round: round, payload: payload}
-							sent++
-							units += len(snd.ring.nodes)
-							bytesOut += len(payload)
-							localRoundBytes[round] += len(payload)
-						}
-					}
-				}
-			}
-
-			// Drain and decode. Unique rings decode in ascending-round order
-			// per link, which is exactly the order the sender grew its label
-			// dictionary in, so the per-link dictionaries stay in sync; lost
-			// rings were never encoded and cannot desynchronise them.
-			var ghosts []ghostRec
-			for _, l := range inLinks[sh] {
-				byRound := make(map[int][]byte, len(l.sends))
-				for got := 0; got < l.expect; got++ {
-					m := <-l.ch
-					if _, dup := byRound[m.round]; !dup {
-						byRound[m.round] = m.payload
-					}
-				}
-				var dict []graph.Label
+		// Send loop: per round, encode and transmit this shard's due
+		// rings. Channels are buffered for every copy a link can carry,
+		// so sends never block and the rounds need no barrier — halo data
+		// is never relayed, so there is no transitive dependency between
+		// rounds.
+		encDicts := make([]map[graph.Label]int, len(outLinks[sh]))
+		for i := range encDicts {
+			encDicts[i] = make(map[graph.Label]int)
+		}
+		for round := 0; round < t; round++ {
+			for li, l := range outLinks[sh] {
 				for _, snd := range l.sends {
-					payload, ok := byRound[snd.ring.round]
-					if !ok {
-						panic("engine: sharded-mp link drained but ring missing")
+					if snd.ring.round != round {
+						continue
 					}
-					before := len(ghosts)
-					ghosts, dict = decodeHaloRing(payload, dict, withIDs, ghosts)
-					ghostsIn += len(ghosts) - before
-					localRoundGhosts[snd.ring.round] += len(ghosts) - before
+					payload := encodeHaloRing(j, encDicts[li], snd.ring, withIDs)
+					for c := 0; c < snd.copies; c++ {
+						l.ch <- haloMsg{round: round, payload: payload}
+						tl.messages++
+						tl.units += len(snd.ring.nodes)
+						localRoundBytes[round] += len(payload)
+					}
 				}
 			}
+		}
 
-			// Assemble the shard-local sub-host: owned nodes plus imported
-			// ghosts, monotone-renumbered, rows filtered to the local set.
-			own := part.Owned(sh)
-			slices.SortFunc(ghosts, func(a, b ghostRec) int { return cmp.Compare(a.node, b.node) })
-			ext := make([]int32, 0, len(own)+len(ghosts))
-			gi := 0
-			for _, v := range own {
-				for gi < len(ghosts) && ghosts[gi].node < v {
-					ext = append(ext, ghosts[gi].node)
-					gi++
+		// Drain and decode. Unique rings decode in ascending-round order
+		// per link, which is exactly the order the sender grew its label
+		// dictionary in, so the per-link dictionaries stay in sync; lost
+		// rings were never encoded and cannot desynchronise them.
+		var ghosts []ghostRec
+		for _, l := range inLinks[sh] {
+			byRound := make(map[int][]byte, len(l.sends))
+			for got := 0; got < l.expect; got++ {
+				m := <-l.ch
+				if _, dup := byRound[m.round]; !dup {
+					byRound[m.round] = m.payload
 				}
-				ext = append(ext, v)
 			}
-			for ; gi < len(ghosts); gi++ {
-				ext = append(ext, ghosts[gi].node)
-			}
-			idx := newLocalIndex(j.n, ext)
-			local := buildLocalHost(j, ext, idx, ghosts, withIDs)
-			var x *graph.ViewExtractor
-			if withIDs {
-				x = graph.NewInstanceViewExtractor(local.instance)
-			} else {
-				x = graph.NewViewExtractor(local.labeled)
-			}
-
-			// Decide owned nodes in ascending host order. Degraded shards
-			// route their rim nodes through the shared full-host fallback
-			// extractor; interior balls never leave the shard and stay local.
-			evaluated, hits, ins, crashes, retries, incomplete := 0, 0, 0, 0, 0, 0
-			rim := rims[sh]
-			for _, v32 := range own {
-				v := int(v32)
-				if j.opts.EarlyExit && rejected.Load() {
-					break
-				}
-				if j.checkCanceled() {
-					break
-				}
-				var verdict Verdict
-				var ok bool
-				if degraded[sh] && containsInt32(rim, v32) {
-					incomplete++
-					verdict, ok = j.guardedVerdict(v, &crashes, &retries, func() Verdict {
-						evaluated++
-						return fallbackX.decide(j, &fallbackMu, v)
-					})
-				} else {
-					li, _ := idx.lookup(v32)
-					verdict, ok = j.guardedVerdict(v, &crashes, &retries, func() Verdict {
-						view := x.At(int(li), t)
-						// Rebind Original from local-host indices to host
-						// addresses (in place — extractor scratch).
-						for i, w := range view.Original {
-							view.Original[i] = int(ext[w])
-						}
-						return cachedVerdict(j, view, v, &evaluated, &hits, &ins)
-					})
-				}
+			var dict []graph.Label
+			for _, snd := range l.sends {
+				payload, ok := byRound[snd.ring.round]
 				if !ok {
-					continue // recorded in j.errs; not a reject
+					panic("engine: sharded-mp link drained but ring missing")
 				}
-				if j.verdicts != nil {
-					j.verdicts[v] = verdict
-				}
-				if verdict == No {
-					rejected.Store(true)
-				}
+				before := len(ghosts)
+				ghosts, dict = decodeHaloRing(payload, dict, withIDs, ghosts)
+				localRoundGhosts[snd.ring.round] += len(ghosts) - before
 			}
+		}
 
-			statsMu.Lock()
-			j.stats.Messages += sent
-			j.stats.KnowledgeUnits += units
-			j.stats.GhostNodes += ghostsIn
-			j.stats.HaloBytes += bytesOut
-			j.stats.Evaluated += evaluated
-			j.stats.DedupHits += hits
-			j.stats.Crashes += crashes
-			j.stats.Retries += retries
-			j.stats.IncompleteViews += incomplete
-			inserted += ins
-			for r := 0; r < t; r++ {
-				roundBytes[r] += localRoundBytes[r]
-				roundGhosts[r] += localRoundGhosts[r]
+		// Assemble the shard-local sub-host: owned nodes plus imported
+		// ghosts, monotone-renumbered, rows filtered to the local set.
+		own := part.Owned(sh)
+		slices.SortFunc(ghosts, func(a, b ghostRec) int { return cmp.Compare(a.node, b.node) })
+		ext := make([]int32, 0, len(own)+len(ghosts))
+		gi := 0
+		for _, v := range own {
+			for gi < len(ghosts) && ghosts[gi].node < v {
+				ext = append(ext, ghosts[gi].node)
+				gi++
 			}
-			statsMu.Unlock()
-		}(sh)
+			ext = append(ext, v)
+		}
+		for ; gi < len(ghosts); gi++ {
+			ext = append(ext, ghosts[gi].node)
+		}
+		idx := newLocalIndex(j.n, ext)
+		local := buildLocalHost(j, ext, idx, ghosts, withIDs)
+		var x *graph.ViewExtractor
+		if withIDs {
+			x = graph.NewInstanceViewExtractor(local.instance)
+		} else {
+			x = graph.NewViewExtractor(local.labeled)
+		}
+
+		// Decide owned nodes in ascending host order. Degraded shards
+		// route their rim nodes through the shared full-host fallback
+		// extractor; interior balls never leave the shard and stay local.
+		rim := rims[sh]
+		for _, v32 := range own {
+			v := int(v32)
+			if j.stopped() {
+				break
+			}
+			var verdict Verdict
+			var ok bool
+			if degraded[sh] && containsInt32(rim, v32) {
+				tl.incomplete++
+				verdict, ok = j.guardedVerdict(v, &tl, func() Verdict {
+					tl.evaluated++
+					return fallback.decide(j, v)
+				})
+			} else {
+				li, _ := idx.lookup(v32)
+				verdict, ok = j.guardedVerdict(v, &tl, func() Verdict {
+					view := x.At(int(li), t)
+					// Rebind Original from local-host indices to host
+					// addresses (in place — extractor scratch).
+					for i, w := range view.Original {
+						view.Original[i] = int(ext[w])
+					}
+					return cachedVerdict(j, view, v, &tl)
+				})
+			}
+			if ok {
+				j.record(v, verdict)
+			}
+		}
+		j.fold(&tl)
+	})
+	j.stats.RoundHaloBytes = make([]int, t)
+	j.stats.RoundGhostNodes = make([]int, t)
+	for sh := range p {
+		for r := range t {
+			j.stats.RoundHaloBytes[r] += roundBytes[sh][r]
+			j.stats.RoundGhostNodes[r] += roundGhosts[sh][r]
+			j.stats.HaloBytes += roundBytes[sh][r]
+			j.stats.GhostNodes += roundGhosts[sh][r]
+		}
 	}
-	wg.Wait()
-	j.stats.RoundHaloBytes = roundBytes
-	j.stats.RoundGhostNodes = roundGhosts
-	accepted := !rejected.Load()
-	j.finishCacheStats(inserted)
-	j.stats.EarlyExit = j.opts.EarlyExit && !accepted
-	return accepted
+	j.finishCacheStats()
+	return j.settle()
 }
 
 // ghostRec is one imported halo node: its host address, label, optional

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -289,13 +288,7 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 	if minTrials <= 0 {
 		minTrials = defaultMinTrials
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opts.Trials {
-		workers = opts.Trials
-	}
+	workers := workerCount(opts.Workers, opts.Trials)
 
 	stats := TrialStats{Confidence: confidence, Workers: workers}
 
@@ -401,7 +394,7 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 		}
 	}
 
-	worker := func() {
+	fanOut(workers, func(int) {
 		var x *graph.ViewExtractor
 		if n > 0 && !dec.RandIgnoresView {
 			x = graph.NewViewExtractor(l)
@@ -441,21 +434,7 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 		mu.Lock()
 		evaluated += decided
 		mu.Unlock()
-	}
-
-	if workers <= 1 {
-		worker()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		wg.Wait()
-	}
+	})
 
 	stats.Trials = committed
 	stats.Accepted = accepted

@@ -441,13 +441,13 @@ func (c *ViewCache) storeEntry(s *cacheShard, key cacheKey, owned []byte, verdic
 // computing and inserting it on a miss. computed reports whether this call
 // ran compute; stored whether the result entered the cache (false when the
 // shard declines the insert — entry cap in unbounded mode, an entry larger
-// than the shard budget in bounded mode). The whole lookup-or-insert is one
-// critical section on the code's shard: on a miss the decider runs under the
-// shard lock, which serialises same-shard misses but removes the second lock
-// acquisition and the duplicated decide the seed-era cache allowed. In the
-// dedup regime misses are rare by construction (that is the regime's point),
-// and the fingerprint striping keeps first-run miss storms spread over the
-// shards.
+// than the shard budget in bounded mode — and compute then runs outside the
+// lock). The whole lookup-or-insert is one critical section on the code's
+// shard: on a miss the decider runs under the shard lock, which serialises
+// same-shard misses but removes the second lock acquisition and the
+// duplicated decide the seed-era cache allowed. In the dedup regime misses
+// are rare by construction (that is the regime's point), and the
+// fingerprint striping keeps first-run miss storms spread over the shards.
 //
 // code.Bytes is cloned before compute runs: the bytes alias the caller's
 // CodeWorkspace, and a decider that computes further codes (benchmarks and
@@ -456,25 +456,40 @@ func (c *ViewCache) lookupOrCompute(decider string, horizon int, code graph.Code
 	compute func() Verdict) (verdict Verdict, computed, stored bool) {
 	s := c.shardFor(code.Fingerprint)
 	key := cacheKey{decider: decider, horizon: horizon, fp: code.Fingerprint}
-	s.mu.Lock()
-	if v, ok := c.findVerified(s, key, code.Bytes); ok {
-		s.mu.Unlock()
+	verdict, owned, hit, admitted := c.lookupOrStore(s, key, code.Bytes, compute)
+	switch {
+	case hit:
 		c.hits.Add(1)
-		return v, false, false
-	}
-	c.misses.Add(1)
-	owned := append([]byte(nil), code.Bytes...)
-	if !c.makeRoom(s, key, entryBytes(key, owned)) {
-		s.mu.Unlock()
+		return verdict, false, false
+	case !admitted:
 		return compute(), true, false
 	}
-	verdict = compute()
-	c.storeEntry(s, key, owned, verdict)
-	s.mu.Unlock()
 	if c.persist != nil {
 		c.persist(decider, horizon, owned, verdict)
 	}
 	return verdict, true, true
+}
+
+// lookupOrStore is lookupOrCompute's critical section: a verified hit, or a
+// miss that is computed and stored under the shard lock when the shard
+// admits it. The unlock is deferred, so a compute that panics (an injected
+// crash or a genuine decider panic, recovered by the engine's retry guard)
+// releases the shard and stores no entry.
+func (c *ViewCache) lookupOrStore(s *cacheShard, key cacheKey, code []byte,
+	compute func() Verdict) (verdict Verdict, owned []byte, hit, admitted bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v, ok := c.findVerified(s, key, code); ok {
+		return v, nil, true, false
+	}
+	c.misses.Add(1)
+	owned = append([]byte(nil), code...)
+	if !c.makeRoom(s, key, entryBytes(key, owned)) {
+		return No, nil, false, false
+	}
+	verdict = compute()
+	c.storeEntry(s, key, owned, verdict)
+	return verdict, owned, false, true
 }
 
 // Insert records an externally computed canonical verdict — the warm-up path

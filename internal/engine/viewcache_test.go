@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -270,5 +271,50 @@ func TestRawLayerParityWithDedup(t *testing.T) {
 	}
 	if dedup.Stats.DedupHits+dedup.Stats.Evaluated != l.N() {
 		t.Fatalf("hits %d + evaluated %d != n %d", dedup.Stats.DedupHits, dedup.Stats.Evaluated, l.N())
+	}
+}
+
+// A decider that genuinely panics inside the dedup cache's compute must not
+// wedge its shard: the retry guard recovers the panic, and the retry has to
+// find the shard unlocked and no entry stored for the panicked compute. Runs
+// on a private cache and on a shared bounded one; the eval runs in a
+// goroutine so a wedged shard fails the test instead of hanging it.
+func TestDedupPanicReleasesCacheShard(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"private", Options{Dedup: true}},
+		{"shared-bounded", Options{Cache: NewBoundedViewCache(1 << 20)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			dec := Decider{Name: "panics-once", Horizon: 1, Decide: func(view *graph.View) Verdict {
+				if calls.Add(1) == 1 {
+					panic("decider bug")
+				}
+				return Yes
+			}}
+			opts := tc.opts
+			opts.MaxAttempts, opts.RetryBackoff = 3, -1
+			l := graph.UniformlyLabeled(graph.Cycle(10), "c")
+			done := make(chan Outcome, 1)
+			go func() { done <- EvalOblivious(dec, l, opts) }()
+			select {
+			case out := <-done:
+				if out.Err != nil || !out.Accepted {
+					t.Fatalf("accepted=%v err=%v, want a clean accept after one retry", out.Accepted, out.Err)
+				}
+				if out.Stats.Crashes != 1 || out.Stats.Retries != 1 {
+					t.Errorf("crashes=%d retries=%d, want 1 and 1", out.Stats.Crashes, out.Stats.Retries)
+				}
+				if out.Stats.Evaluated != 1 || out.Stats.DistinctViews != 1 || out.Stats.CacheSize != 1 {
+					t.Errorf("evaluated=%d distinct=%d cacheSize=%d, want one view decided and stored once",
+						out.Stats.Evaluated, out.Stats.DistinctViews, out.Stats.CacheSize)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("eval hung: the panicking compute left its cache shard locked")
+			}
+		})
 	}
 }
